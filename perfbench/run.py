@@ -8,7 +8,8 @@ The run builds its inputs from ``--seed``, sets the system up several times
 (``setup_s`` is the import time plus the median set-up), computes the
 expected result of every read before the timed loop, then runs the
 workload's closed loop for ``--seconds`` (longer if needed to reach
-:data:`MIN_READS` reads, so ``read_p99_ms`` has ten samples beyond it).
+:data:`MIN_READS` reads, so ``read_p99_ms`` has ten samples beyond it), or
+for a fixed number of operations where the workload sets ``ops_per_second``.
 Every read is checked against its expected bag outside the timed region.
 The last line of standard output is one JSON object::
 
@@ -102,13 +103,16 @@ def closed_loop(
     min_reads: int = 0,
     tracer: Any = None,
     cycle: int = 1,
+    limit: Optional[int] = None,
 ) -> Tuple[LoopResult, LoopResult]:
     """Run operations back to back for ``seconds`` (and ``min_reads`` reads).
 
-    Returns ``(untraced, traced)``.  Without a tracer every operation is
-    untraced.  With one, operations alternate in blocks of ``cycle`` (one
-    pass over the workload's operation mix) between untraced and traced, so
-    both halves see the same mix and the same drift over the run.
+    With ``limit`` the loop runs exactly that many operations instead, and
+    ``seconds`` only sets the hard stop.  Returns ``(untraced, traced)``.
+    Without a tracer every operation is untraced.  With one, operations
+    alternate in blocks of ``cycle`` (one pass over the workload's operation
+    mix) between untraced and traced, so both halves see the same mix and
+    the same drift over the run.
     """
     plain, traced = LoopResult(), LoopResult()
     clock = time.perf_counter_ns
@@ -119,7 +123,14 @@ def closed_loop(
     index = -1
     while True:
         now = clock()
-        if now >= deadline and (plain.read_count >= min_reads or now >= hard_stop):
+        if now >= hard_stop:
+            if limit is not None:
+                log(f"hard stop after {index + 1} of {limit} operations")
+            break
+        if limit is not None:
+            if index + 1 >= limit:
+                break
+        elif now >= deadline and plain.read_count >= min_reads:
             break
         if plain.failed + traced.failed >= MAX_FAILURES:
             log(f"stopping after {plain.failed + traced.failed} failed operations")
@@ -259,6 +270,10 @@ def layer_metrics(tracer: Any, capture: Capture, traced: LoopResult) -> Dict[str
         "rewriter.plan_nodes": _mean(plan_nodes),
         "planner.optimize_ms": per_read("planner.optimize"),
         "engine.execute_ms": per_read("engine.execute"),
+        # The remote client's own frame and plan codec work inside a read.
+        "protocol.client_codec_ms": per_read(
+            "protocol.encode", "protocol.decode", "plans.encode", "plans.decode"
+        ),
         "read.other_ms": per_read("read"),
     }
     counters = traced.read_statistics
@@ -445,7 +460,9 @@ def remote_metrics(
     return metrics
 
 
-def traced_run(workload: Any, ops: Iterator[Any], seconds: float) -> Tuple[Dict[str, float], LoopResult, Any]:
+def traced_run(
+    workload: Any, ops: Iterator[Any], seconds: float, limit: Optional[int]
+) -> Tuple[Dict[str, float], LoopResult, Any]:
     """Alternate untraced and traced passes, then run the layer analyses."""
     session = workload.session
     tracer = Tracer()
@@ -453,7 +470,9 @@ def traced_run(workload: Any, ops: Iterator[Any], seconds: float) -> Tuple[Dict[
     before = session.cache_info()
     install_tracing(tracer, capture)
     try:
-        untraced, traced = closed_loop(ops, seconds, tracer=tracer, cycle=workload.cycle)
+        untraced, traced = closed_loop(
+            ops, seconds, tracer=tracer, cycle=workload.cycle, limit=limit
+        )
         tracer.active = True
         after = session.cache_info()
         metrics = layer_metrics(tracer, capture, traced)
@@ -489,20 +508,11 @@ def traced_run(workload: Any, ops: Iterator[Any], seconds: float) -> Tuple[Dict[
 
 # -- main ---------------------------------------------------------------------------------------
 
-END_TO_END_UNITS = {
-    "read_p50_ms": "ms",
-    "read_p99_ms": "ms",
-    "throughput_ops_s": "ops/s",
-    "success_rate": "fraction",
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-}
-
-
-def per_layer_units() -> Dict[str, str]:
+def metric_units(section: str) -> Dict[str, str]:
+    """Name -> unit of the ``end_to_end`` or ``per_layer`` metrics in BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
-    return {entry["name"]: entry["unit"] for entry in spec["per_layer"]}
+    return {entry["name"]: entry["unit"] for entry in spec[section]}
 
 
 def environment(seed: int) -> Dict[str, Any]:
@@ -559,10 +569,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         gc.collect()  # start the loop without the set-up's garbage
         ops = workload.ops()
+        op_limit = None
+        if workload.ops_per_second is not None:
+            op_limit = max(MIN_READS, round(workload.ops_per_second * args.seconds))
         if args.trace:
-            metrics, loop, tracer = traced_run(workload, ops, args.seconds)
+            metrics, loop, tracer = traced_run(workload, ops, args.seconds, op_limit)
         else:
-            loop, _ = closed_loop(ops, args.seconds, MIN_READS)
+            loop, _ = closed_loop(ops, args.seconds, MIN_READS, limit=op_limit)
             metrics = {
                 "read_p50_ms": loop.read_p50_ms(),
                 "read_p99_ms": loop.read_p99_ms(),
@@ -579,7 +592,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         log("the final consistency check of the workload failed")
     if args.trace:
         # A metric of a layer the workload does not use reads 0.
-        units = per_layer_units()
+        units = metric_units("per_layer")
         os.makedirs(OUT_DIR, exist_ok=True)
         path = os.path.join(OUT_DIR, f"spans-{args.workload}-seed{args.seed}.jsonl")
         tracer.dump(path, dict(env, workload=args.workload))
@@ -588,7 +601,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         client_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         metrics["peak_rss_mb"] = (client_kb + final["extra_rss_kb"]) / 1024
-        report = {name: {"value": metrics[name], "unit": unit} for name, unit in END_TO_END_UNITS.items()}
+        report = {
+            name: {"value": metrics[name], "unit": unit}
+            for name, unit in metric_units("end_to_end").items()
+        }
     for name, entry in report.items():
         print(f"{args.workload:>13} {name:<34} {entry['value']:>14.4f} {entry['unit']}")
     print(json.dumps({

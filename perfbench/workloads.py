@@ -65,6 +65,7 @@ class Employee:
 
     name = "employee"
     scale = 1.0
+    ops_per_second = None  # the loop runs for its time
 
     def __init__(self, seed: int) -> None:
         from repro import connect
@@ -161,6 +162,13 @@ class Adhoc:
     name = "adhoc"
     rows = 32
     cycle = 1
+    #: A run makes this many queries per second of ``--seconds``, however
+    #: fast the host is: each query adds a plan-cache entry, so a fixed
+    #: count gives every run the same cache, heap and collector work.  A
+    #: 2-vCPU Linux VM runs 150 to 250 queries a second, so the loop fits
+    #: its time there and stops short of the hard stop (twice the time) on
+    #: a host up to 2.5 times slower.
+    ops_per_second = 120
 
     def __init__(self, seed: int) -> None:
         from repro import connect
@@ -268,6 +276,7 @@ class RemoteChurn:
     """Reads and 1% churn writes against a query server holding one view."""
 
     name = "remote_churn"
+    ops_per_second = None  # the loop runs for its time
     rows = 2000
     cycle = 6  # operations per churn batch in ops()
     batches = 8
