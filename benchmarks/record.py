@@ -10,10 +10,10 @@ track across PRs and appends the timings to a JSON ledger:
   engine plus a ``*-SQL`` column executing the same rewritten plans on the
   SQLite backend (catalog pre-loaded, so the timing isolates query
   execution);
-* **overlap join** -- a microbenchmark of the executor's sort-merge
+* **overlap join** -- a microbenchmark of the engine's sort-merge
   interval join: a pure interval-overlap theta join (no equality conjunct)
-  over two synthetic interval tables at 100k rows/side, row engine vs. the
-  columnar batch executor's vectorised kernel; the quadratic nested-loop
+  over two synthetic interval tables at 100k rows/side, answered by the
+  columnar engine's vectorised kernel; the quadratic nested-loop
   baseline it replaced is timed only up to a size cutoff;
 * **generator scaling** -- a grouped temporal aggregation over
   heavy-overlap (``chained``) catalogs from the synthetic workload
@@ -59,12 +59,12 @@ Usage::
 ledger entry), so any recorded run can be reproduced bit for bit.
 
 Each invocation merges its results under ``--label`` into ``--output``
-(default ``BENCH_pr8.json`` at the repo root) and, when at least two labels
+(default ``BENCH_pr10.json`` at the repo root) and, when at least two labels
 are present, reports the speedup of the newest label over the oldest so the
-perf trajectory is visible from the ledger alone.  The figure5,
-overlap-join, and generator-scaling workloads additionally run a columnar
-batch-executor leg next to the row leg and record per-entry
-``batch_speedup`` columns (batch vs. row on identical inputs).
+perf trajectory is visible from the ledger alone.  Older ledgers also
+carry ``batch_seconds`` / ``batch_speedup`` columns from the time the
+repository had a second (row) engine; every leg now runs on the one
+columnar engine.
 
 If any workload raises, the error is recorded in the ledger entry, the
 remaining workloads still run, and the process exits non-zero -- a partial
@@ -148,42 +148,18 @@ PLANNER_COST_FLOOR = 1.5
 def time_figure5(
     sizes: Sequence[int], repetitions: int, seed: Optional[int]
 ) -> List[Dict[str, object]]:
-    """Row and batch executor legs of the Figure-5 coalescing experiment."""
+    """The Figure-5 coalescing experiment, one entry per input size."""
     kwargs = {} if seed is None else {"seed": seed}
-    row_results = run_figure5(
-        sizes=sizes,
-        months=FIGURE5_MONTHS,
-        repetitions=repetitions,
-        executor="row",
-        **kwargs,
-    )
-    batch_results = run_figure5(
-        sizes=sizes,
-        months=FIGURE5_MONTHS,
-        repetitions=repetitions,
-        executor="batch",
-        **kwargs,
-    )
-    merged: List[Dict[str, object]] = []
-    for row, batch in zip(row_results, batch_results):
-        if row["output_rows"] != batch["output_rows"]:
-            raise RuntimeError(
-                "figure5 row/batch output mismatch at "
-                f"{row['input_rows']} rows: {row['output_rows']} vs "
-                f"{batch['output_rows']}"
-            )
-        merged.append(
-            {
-                "input_rows": row["input_rows"],
-                "output_rows": row["output_rows"],
-                "seconds": row["seconds"],
-                "batch_seconds": batch["seconds"],
-                "batch_speedup": round(row["seconds"] / batch["seconds"], 2)
-                if batch["seconds"] > 0
-                else None,
-            }
+    return [
+        {
+            "input_rows": entry["input_rows"],
+            "output_rows": entry["output_rows"],
+            "seconds": entry["seconds"],
+        }
+        for entry in run_figure5(
+            sizes=sizes, months=FIGURE5_MONTHS, repetitions=repetitions, **kwargs
         )
-    return merged
+    ]
 
 
 def _best_of(action, repetitions: int) -> float:
@@ -246,7 +222,7 @@ def time_table3_employee(
 def time_overlap_join(
     rows: int, repetitions: int, seed: Optional[int]
 ) -> Dict[str, object]:
-    """Row vs. batch interval join (and the nested-loop fallback, when sane).
+    """The interval join (and the nested-loop fallback, when sane).
 
     The interval domain scales with the row count, keeping overlap density
     constant, so the output stays linear in the input and the benchmark can
@@ -294,27 +270,6 @@ def time_overlap_join(
             f"overlap join did not use the interval strategy: {statistics}"
         )
 
-    batch_statistics: Dict[str, int] = {}
-    batch_rows: Dict[str, int] = {}
-
-    def run_batch() -> None:
-        batch_statistics.clear()
-        batch_rows["n"] = len(
-            engine_execute(plan, database, batch_statistics, executor="batch")
-        )
-
-    batch_seconds = _best_of(run_batch, repetitions)
-    if not batch_statistics.get("join_strategy.interval"):
-        raise RuntimeError(
-            f"batch overlap join did not use the interval strategy: "
-            f"{batch_statistics}"
-        )
-    if batch_rows["n"] != output_rows["n"]:
-        raise RuntimeError(
-            f"overlap join row/batch output mismatch: {output_rows['n']} vs "
-            f"{batch_rows['n']}"
-        )
-
     nested_seconds: Optional[float] = None
     if rows <= NESTED_LOOP_CUTOFF:
         nested_seconds = _best_of(
@@ -325,11 +280,7 @@ def time_overlap_join(
         "rows_per_side": rows,
         "output_rows": output_rows["n"],
         "interval_seconds": interval_seconds,
-        "batch_seconds": batch_seconds,
-        "batch_speedup": round(interval_seconds / batch_seconds, 2)
-        if batch_seconds > 0
-        else None,
-        "batch_partitions": batch_statistics.get("batch.partitions"),
+        "batch_partitions": statistics.get("batch.partitions"),
         "nested_loop_seconds": nested_seconds,
         "speedup": round(nested_seconds / interval_seconds, 2)
         if nested_seconds is not None and interval_seconds > 0
@@ -361,9 +312,6 @@ def time_generator_scaling(
         )
         database = generate_catalog(config)
         middleware = SnapshotMiddleware(config.domain, database=database)
-        batch_middleware = SnapshotMiddleware(
-            config.domain, database=database, executor="batch"
-        )
         query = Aggregation(
             Projection(
                 RelationAccess("R"),
@@ -376,31 +324,13 @@ def time_generator_scaling(
             ),
         )
         output_rows: Dict[str, int] = {}
-        batch_rows: Dict[str, int] = {}
 
         def run() -> None:
             output_rows["n"] = len(middleware.execute(query))
 
-        def run_batch() -> None:
-            batch_rows["n"] = len(batch_middleware.execute(query))
-
         seconds = _best_of(run, repetitions)
-        batch_seconds = _best_of(run_batch, repetitions)
-        if batch_rows["n"] != output_rows["n"]:
-            raise RuntimeError(
-                f"generator scaling row/batch output mismatch at {rows} rows: "
-                f"{output_rows['n']} vs {batch_rows['n']}"
-            )
         results.append(
-            {
-                "rows": rows,
-                "output_rows": output_rows["n"],
-                "seconds": seconds,
-                "batch_seconds": batch_seconds,
-                "batch_speedup": round(seconds / batch_seconds, 2)
-                if batch_seconds > 0
-                else None,
-            }
+            {"rows": rows, "output_rows": output_rows["n"], "seconds": seconds}
         )
     return results
 
@@ -789,14 +719,14 @@ def _speedups(ledger: Dict[str, Dict]) -> Dict[str, object]:
     """Speedup of the newest label over the oldest (by recording order).
 
     With a single label the cross-label comparison is skipped, but the
-    newest label's batch-vs-row columns are still surfaced.
+    newest label's gate columns are still surfaced.
     """
     labels = [k for k in ledger if k != "speedup_newest_vs_oldest"]
     if not labels:
         return {}
     new = ledger[labels[-1]]
     if len(labels) < 2:
-        return _batch_columns(new, {"current": labels[-1]})
+        return _gate_columns(new, {"current": labels[-1]})
     base = ledger[labels[0]]
     summary: Dict[str, object] = {"baseline": labels[0], "current": labels[-1]}
     base_f5 = {r["input_rows"]: r["seconds"] for r in base.get("figure5", ())}
@@ -861,29 +791,12 @@ def _speedups(ledger: Dict[str, Dict]) -> Dict[str, object]:
     new_planner = new.get("planner_cost", {}).get("cost_seconds")
     if base_planner is not None and new_planner:
         summary["planner_cost"] = round(base_planner / new_planner, 2)
-    return _batch_columns(new, summary)
+    return _gate_columns(new, summary)
 
 
-def _batch_columns(new: Dict, summary: Dict[str, object]) -> Dict[str, object]:
-    """Batch-vs-row columns (PR 8 on): surfaced from the newest label so the
-    executor comparison is readable without digging into the entries."""
-    f5_batch = {
-        str(r["input_rows"]): r["batch_speedup"]
-        for r in new.get("figure5", ())
-        if r.get("batch_speedup") is not None
-    }
-    if f5_batch:
-        summary["figure5_batch_vs_row"] = f5_batch
-    overlap_batch = new.get("overlap_join", {}).get("batch_speedup")
-    if overlap_batch is not None:
-        summary["overlap_join_batch_vs_row"] = overlap_batch
-    generator_batch = {
-        str(r["rows"]): r["batch_speedup"]
-        for r in new.get("generator_scaling", ())
-        if r.get("batch_speedup") is not None
-    }
-    if generator_batch:
-        summary["generator_scaling_batch_vs_row"] = generator_batch
+def _gate_columns(new: Dict, summary: Dict[str, object]) -> Dict[str, object]:
+    """Gate columns, surfaced from the newest label so the incremental and
+    planner ratios are readable without digging into the entries."""
     view_speedups = {
         str(r["rows"]): r["incremental_speedup"]
         for r in new.get("view_maintenance", ())

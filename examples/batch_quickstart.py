@@ -1,19 +1,18 @@
-"""The columnar batch executor: same answers, column kernels, worker pools.
+"""The columnar batch engine: one in-memory engine, checked two ways.
 
-The physical layer has two interchangeable engines.  The row executor
-streams Python tuples through per-row closures; the columnar batch executor
-(``executor="batch"``) pushes whole per-attribute columns through
-vectorised kernels and can fan the partitioned interval join out across a
-``multiprocessing`` pool.  Both are bag-equal on every plan -- the batch
-differential suite and the conformance sweep pin that -- so switching is a
-pure performance decision.
+Every in-memory query runs on the columnar batch engine: it pushes whole
+per-attribute columns through vectorised kernels and can fan the
+partitioned interval join out across a ``multiprocessing`` pool.  Its
+answers are pinned against two independent oracles -- SQLite executing the
+same rewritten plan, and the abstract per-snapshot model of the paper.
 
 This script shows:
 
-1. selecting the executor per session (DSN parameter or keyword),
-2. that row and batch sessions return identical results,
-3. ``explain()`` reporting which executor ran and its partition counters,
-4. the parallel partitioned interval join across two worker processes.
+1. the in-memory engine and SQLite returning identical answers, and the
+   snapshot-conformance check certifying them,
+2. ``explain()`` reporting the engine's join strategy and partition
+   counters,
+3. the parallel partitioned interval join across two worker processes.
 
 Run from the repository root::
 
@@ -39,42 +38,41 @@ SALARIES = [
 
 
 def identical_results() -> None:
-    """One dataset, both executors: the answers must match exactly."""
-    print("== row vs. batch: identical answers ==")
+    """One dataset, two hosts: the answers must match exactly."""
+    print("== in-memory engine vs. SQLite: identical answers ==")
     tables = {}
-    for executor in ("row", "batch"):
-        # The executor is a session-level switch; ``memory://?executor=batch``
-        # in the DSN does the same thing as the keyword used below.
-        session = connect((0, 24), executor=executor)
-        salaries = session.load(
-            "salaries", ["emp_no", "salary"], SALARIES
-        )
+    for backend in ("memory", "sqlite"):
+        session = connect("memory://?domain=0:24&backend=" + backend)
+        salaries = session.load("salaries", ["emp_no", "salary"], SALARIES)
         query = salaries.group_by("emp_no").agg(total="count(*)")
-        tables[executor] = query.table()
-    row_rows = sorted(tables["row"].rows, key=repr)
-    batch_rows = sorted(tables["batch"].rows, key=repr)
-    assert row_rows == batch_rows, (row_rows, batch_rows)
-    print(tables["batch"].pretty())
-    print("row == batch:", row_rows == batch_rows)
+        tables[backend] = query.table()
+        # The conformance harness compares against the abstract model at
+        # every snapshot of the inputs.
+        assert query.check().ok
+    memory_rows = sorted(tables["memory"].rows, key=repr)
+    sqlite_rows = sorted(tables["sqlite"].rows, key=repr)
+    assert memory_rows == sqlite_rows, (memory_rows, sqlite_rows)
+    print(tables["memory"].pretty())
+    print("memory == sqlite:", memory_rows == sqlite_rows)
     print()
 
 
-def explain_reports_the_executor() -> None:
-    """``explain()`` names the executor that ran and its batch counters."""
-    print("== explain(): executor and partition counters ==")
-    session = connect("memory://?domain=0:24&executor=batch")
+def explain_reports_the_partitions() -> None:
+    """``explain()`` shows the join strategy and the partition counters."""
+    print("== explain(): join strategy and partition counters ==")
+    session = connect("memory://?domain=0:24")
     salaries = session.load("salaries", ["emp_no", "salary"], SALARIES)
     grants = session.load(
         "grants",
         ["g_emp_no", "amount"],
         [("Ann", 500, 6, 14), ("Joe", 250, 10, 22), ("Sam", 100, 0, 9)],
     )
-    # An equality conjunct plus snapshot semantics: the batch executor
-    # partitions the sort-merge interval join by the key values.
+    # An equality conjunct plus snapshot semantics: the engine partitions
+    # the sort-merge interval join by the key values.
     joined = salaries.join(grants, on="emp_no = g_emp_no")
     text = joined.explain()
     print(text)
-    assert "executor: batch" in text
+    assert "join_strategy.interval" in text
     assert "batch.partitions" in text
     print()
 
@@ -93,10 +91,10 @@ def parallel_partitioned_join() -> None:
             )
         return rows
 
-    # The pool engages once the combined join input crosses the batch
-    # executor's size threshold (4096 rows) and the session asks for >= 2
-    # workers; below that the partitions run serially in-process.
-    session = connect("memory://?domain=0:2048&executor=batch&parallel_workers=2")
+    # The pool engages once the combined join input crosses the engine's
+    # size threshold (4096 rows) and the session asks for >= 2 workers;
+    # below that the partitions run serially in-process.
+    session = connect("memory://?domain=0:2048&parallel_workers=2")
     left = session.load("L", ["l_id", "l_key"], intervals(2400, "l"))
     right = session.load("R", ["r_id", "r_key"], intervals(2400, "r"))
     joined = left.join(right, on="l_key = r_key")
@@ -110,6 +108,6 @@ def parallel_partitioned_join() -> None:
 
 if __name__ == "__main__":
     identical_results()
-    explain_reports_the_executor()
+    explain_reports_the_partitions()
     parallel_partitioned_join()
     print("done.")

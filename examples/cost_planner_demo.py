@@ -12,7 +12,7 @@ written in the most expensive order, with heavy key skew -- and shows what
   selective dimension slice prunes the fact table before the skewed
   fact-big join ever runs;
 * join strategy hints stamped on the rewritten plan and obeyed by the
-  executor (``join_strategy.*`` counters);
+  engine (``join_strategy.*`` counters);
 * ``explain()``'s ``executed plan:`` section putting ``estimated_rows``
   next to ``actual_rows`` on every node -- the estimate quality report;
 * the syntactic and cost sessions returning the identical bag of rows,

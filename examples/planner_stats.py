@@ -9,7 +9,7 @@ machine that requires their skill, and when) as one fluent chain and uses
   to the base table, identity projections gone, the user's equality
   conjunct folded into the join predicate);
 * the planner's own ``planner.*`` rule counters;
-* the executor's ``join_strategy.*`` statistics: the REWR join carries the
+* the engine's ``join_strategy.*`` statistics: the REWR join carries the
   interval-overlap predicate, so with the planner's predicate normalisation
   the engine runs it as a sort-merge interval join instead of filtering a
   hash/nested-loop result.
@@ -43,7 +43,7 @@ def main() -> None:
     print(staffed.explain())
 
     # ...and on: one rendering covers logical plan -> REWR -> planner rules
-    # fired -> the join strategy the executor chose.
+    # fired -> the join strategy the engine chose.
     session.planner = True
     print("\npipeline (planner on):\n")
     print(staffed.explain())

@@ -67,7 +67,7 @@ def main() -> None:
     print("Timeslice of Qonduty at 08:00 ->", dict(onduty.snapshot(8)))
 
     # 6. The pipeline the session actually executes: logical plan, REWR
-    #    output, planner effect, executor strategy, plan-cache outcome.
+    #    output, planner effect, engine strategy, plan-cache outcome.
     print("\nQonduty, explained:")
     print(onduty.explain())
 

@@ -68,7 +68,6 @@ from .abstract_model import (
     evaluate_snapshot_query,
 )
 from .backends import (
-    BatchBackend,
     ExecutionBackend,
     InMemoryBackend,
     SQLiteBackend,
@@ -136,7 +135,6 @@ __all__ = [
     "Table",
     "ExecutionBackend",
     "InMemoryBackend",
-    "BatchBackend",
     "SQLiteBackend",
     "available_backends",
     "resolve_backend",

@@ -9,10 +9,11 @@ Expressions support three evaluation modes:
   reference to a positional index *once* against a schema and returns a
   nested closure over raw row *tuples*.  Physical operators compile each
   expression once per plan node and then evaluate millions of rows without
-  materialising a dictionary per row; this is the row engine's hot path.
+  materialising a dictionary per row; the engine uses it for join residuals
+  and for selections over row-backed batches.
 * **batch-compiled** -- :meth:`Expression.compile_batch` returns a kernel
   mapping whole *columns* to a result column in one call.  The columnar
-  executor (:mod:`repro.engine.batch`) evaluates each node once per batch
+  engine (:mod:`repro.engine.batch`) evaluates each node once per batch
   through C-speed ``zip``/list comprehensions instead of once per row;
   attribute references are zero-copy (the input column is returned as-is).
 
@@ -33,6 +34,7 @@ workloads used here (no ``NOT`` over null comparisons).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq, ge, gt, le, lt, ne
 from typing import Any, Callable, Mapping, Sequence, Tuple
 
 __all__ = [
@@ -105,7 +107,7 @@ class Expression:
     def _compile_batch(self, index: Mapping[str, int]) -> BatchExpression:
         # Fallback: lift the row closure over a zipped batch.  Every concrete
         # node overrides this with a fused kernel; the lift keeps third-party
-        # Expression subclasses working unchanged on the batch executor.
+        # Expression subclasses working unchanged on the batch engine.
         row_fn = self._compile(index)
 
         def lifted(columns: Sequence[list], n: int) -> list:
@@ -194,13 +196,14 @@ class Literal(Expression):
         return repr(self.value)
 
 
+#: The ``operator`` module's C implementations: no Python frame per call.
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": eq,
+    "!=": ne,
+    "<": lt,
+    "<=": le,
+    ">": gt,
+    ">=": ge,
 }
 
 
@@ -496,18 +499,29 @@ class FunctionCall(Expression):
             # Same dominant shape as the row fast path: the snapshot rewrite
             # wraps every join's period attributes in two-argument
             # least/greatest, so this kernel runs once per join in batch mode.
+            # The comparisons are inlined (no min/max call per element) in
+            # the exact form min/max use: the second value wins only when
+            # strictly smaller (least) or larger (greatest).
             pick = min if self.name == "least" else max
             first, second = compiled
 
-            def pick_two_columns(columns: Sequence[list], n: int) -> list:
+            def least_columns(columns: Sequence[list], n: int) -> list:
                 return [
-                    pick(left, right)
+                    (right if right < left else left)
                     if left is not None and right is not None
                     else pick(v for v in (left, right) if v is not None)
                     for left, right in zip(first(columns, n), second(columns, n))
                 ]
 
-            return pick_two_columns
+            def greatest_columns(columns: Sequence[list], n: int) -> list:
+                return [
+                    (right if right > left else left)
+                    if left is not None and right is not None
+                    else pick(v for v in (left, right) if v is not None)
+                    for left, right in zip(first(columns, n), second(columns, n))
+                ]
+
+            return least_columns if self.name == "least" else greatest_columns
         if len(compiled) == 1:
             (only,) = compiled
             return lambda columns, n: [function(v) for v in only(columns, n)]

@@ -187,7 +187,6 @@ def connect(
     rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
     policy: Optional[ExecutionPolicy] = None,
     domain: "Union[TimeDomain, Tuple[int, int], int, None]" = None,
-    executor: str = "row",
     parallel_workers: Optional[int] = None,
 ) -> "SessionProtocol":
     """Open a snapshot-semantics session: the transport-agnostic front door.
@@ -213,10 +212,10 @@ def connect(
     query parameter or the ``domain=`` keyword (DSN wins); other recognised
     DSN parameters -- ``planner=on|off|syntactic|cost`` (``cost`` enables
     the statistics-driven planner of :mod:`repro.planner.cost`),
-    ``coalesce=final|none|...``,
-    ``plan_cache=on|off``, ``executor=row|batch``, and on ``memory://``
-    also ``backend=name`` and ``parallel_workers=n`` -- likewise override
-    their keyword counterparts.
+    ``coalesce=final|none|...``, ``plan_cache=on|off``, and on
+    ``memory://`` also ``backend=name`` and ``parallel_workers=n`` --
+    likewise override their keyword counterparts.  Any other parameter
+    (including the removed ``executor=``) raises :class:`FluentError`.
 
     .. deprecated:: passing the time domain *positionally*
        (``connect((0, 24))``, ``connect(TimeDomain(0, 24))``,
@@ -248,8 +247,7 @@ def connect(
             )
         return _connect_local(
             domain, backend, planner, coalesce, use_temporal_aggregate,
-            database, plan_cache, rewriter_cls, policy,
-            executor, parallel_workers,
+            database, plan_cache, rewriter_cls, policy, parallel_workers,
         )
 
     parts = urlsplit(target)
@@ -268,12 +266,6 @@ def connect(
         plan_cache = _dsn_bool("plan_cache", params.pop("plan_cache"))
     if "coalesce" in params:
         coalesce = params.pop("coalesce")
-    if "executor" in params:
-        executor = params.pop("executor")
-        if executor not in ("row", "batch"):
-            raise FluentError(
-                f"DSN parameter executor= must be 'row' or 'batch', got {executor!r}"
-            )
 
     if scheme == "repro":
         if params:
@@ -285,7 +277,7 @@ def connect(
 
         host = parts.hostname or "127.0.0.1"
         port = parts.port if parts.port is not None else DEFAULT_PORT
-        return RemoteSession(host, port, policy=policy, executor=executor)
+        return RemoteSession(host, port, policy=policy)
 
     if scheme == "memory":
         if "backend" in params:
@@ -328,8 +320,7 @@ def connect(
         )
     return _connect_local(
         domain, backend, planner, coalesce, use_temporal_aggregate,
-        database, plan_cache, rewriter_cls, policy,
-        executor, parallel_workers,
+        database, plan_cache, rewriter_cls, policy, parallel_workers,
     )
 
 
@@ -343,7 +334,6 @@ def _connect_local(
     plan_cache: bool,
     rewriter_cls: type[SnapshotRewriter],
     policy: Optional[ExecutionPolicy],
-    executor: str = "row",
     parallel_workers: Optional[int] = None,
 ) -> "Session":
     pipeline = QueryPipeline(
@@ -356,7 +346,6 @@ def _connect_local(
         rewriter_cls=rewriter_cls,
         plan_cache=plan_cache,
         policy=policy,
-        executor=executor,
         parallel_workers=parallel_workers,
     )
     return Session(pipeline)
@@ -436,11 +425,6 @@ class Session:
     @backend.setter
     def backend(self, value: "str | ExecutionBackend | None") -> None:
         self._pipeline.backend = value
-
-    @property
-    def executor(self) -> str:
-        """Physical executor of the in-memory engine: ``"row"`` or ``"batch"``."""
-        return self._pipeline.executor
 
     @property
     def policy(self) -> Optional[ExecutionPolicy]:
@@ -616,7 +600,7 @@ class Session:
         ``{table_name: TableStatistics}``.  Statistics on a table are dropped
         automatically when DML touches it; re-run ``analyze`` to refresh.
         Sessions with ``planner="cost"`` use them for join reordering,
-        strategy selection and the batch executor's parallel threshold;
+        strategy selection and the partitioned join's parallel threshold;
         other planner modes ignore them.
         """
         self._ensure_open()
@@ -677,7 +661,7 @@ class Session:
         else:
             sections += ["", "planner: off"]
 
-        # One observed execution for the executor's strategy counters and the
+        # One observed execution for the engine's strategy counters and the
         # per-node row counts (this goes through the cache, warming it as a
         # side effect).  Rewriting first keeps one plan object whose node
         # identities line up with the recorded observations.
@@ -700,27 +684,21 @@ class Session:
             if strategies
             else ["  (no joins)"]
         )
-        # Which physical executor actually ran (the engine counts one probe
-        # per execution), plus the batch executor's partitioned-join counters.
-        ran = [
-            name
-            for name in ("row", "batch")
-            if execution_statistics.get(f"executor.{name}")
-        ]
-        if ran:
-            sections += ["", f"executor: {', '.join(ran)}"]
-            partition_counters = {
-                key: value
-                for key, value in sorted(execution_statistics.items())
-                if key.startswith("batch.")
-            }
+        # The in-memory engine's partitioned-join counters.
+        partition_counters = {
+            key: value
+            for key, value in sorted(execution_statistics.items())
+            if key.startswith("batch.")
+        }
+        if partition_counters:
+            sections += ["", "partitioned joins:"]
             sections += [
                 f"  {key} = {value}" for key, value in partition_counters.items()
             ]
         if observations:
             # Estimated vs observed cardinalities per node (the cost model's
             # report card): joins additionally show the physical strategy the
-            # executor actually chose.  SQL backends run the plan wholesale
+            # engine actually chose.  SQL backends run the plan wholesale
             # and record nothing, so the section only appears for the
             # in-memory engine.
             estimates = estimate_plan(executed, self.database)

@@ -12,7 +12,6 @@ drivers), by name or as an instance.
 
 from .base import (
     BackendError,
-    BatchBackend,
     ExecutionBackend,
     InMemoryBackend,
     available_backends,
@@ -26,7 +25,6 @@ __all__ = [
     "BackendError",
     "ExecutionBackend",
     "InMemoryBackend",
-    "BatchBackend",
     "SQLiteBackend",
     "CompiledQuery",
     "SQLCompiler",

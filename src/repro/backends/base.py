@@ -4,7 +4,7 @@ The :class:`~repro.execution.ExecutionBackend` protocol and the backend
 registry live in :mod:`repro.execution` (below the rewriter, so the
 middleware and the fluent API import them without cycles); this module
 re-exports them for compatibility and contributes the default backend: the
-engine of :mod:`repro.engine.executor`.
+in-memory columnar engine behind :func:`repro.engine.executor.execute`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "BackendError",
     "ExecutionBackend",
     "InMemoryBackend",
-    "BatchBackend",
     "register_backend",
     "resolve_backend",
     "available_backends",
@@ -35,7 +34,7 @@ __all__ = [
 
 
 class InMemoryBackend:
-    """The default backend: the engine of :mod:`repro.engine.executor`."""
+    """The default backend: the in-memory columnar engine (:mod:`repro.engine.batch`)."""
 
     name = "memory"
 
@@ -54,42 +53,4 @@ class InMemoryBackend:
         return "InMemoryBackend()"
 
 
-class BatchBackend:
-    """The in-memory engine with the columnar batch executor.
-
-    Registered as ``"batch"`` so every backend-name surface -- pipeline
-    ``backend=`` overrides, the conformance harness's ``backends=`` matrix,
-    policy fallbacks, server query frames -- can address the columnar
-    executor without new plumbing.  Equivalent to the memory backend with
-    ``executor="batch"``.
-    """
-
-    name = "batch"
-
-    def __init__(self, parallel_workers: Optional[int] = None) -> None:
-        self.parallel_workers = parallel_workers
-
-    def execute(
-        self,
-        plan: Operator,
-        database: Database,
-        statistics: Optional[Dict[str, int]] = None,
-        limits: Optional[QueryLimits] = None,
-    ) -> Table:
-        from ..engine.executor import execute as engine_execute
-
-        return engine_execute(
-            plan,
-            database,
-            statistics,
-            limits=limits,
-            executor="batch",
-            parallel_workers=self.parallel_workers,
-        )
-
-    def __repr__(self) -> str:
-        return f"BatchBackend(parallel_workers={self.parallel_workers!r})"
-
-
 register_backend(InMemoryBackend.name, InMemoryBackend)
-register_backend(BatchBackend.name, BatchBackend)

@@ -165,12 +165,12 @@ class BaselineEvaluator:
         # Hash the right side on the equality conjuncts of the predicate (the
         # same physical strategy the paper's Postgres baseline uses), keeping
         # the remaining conjuncts and the interval overlap as a filter.
-        from ..engine.executor import _combine_residual, _split_join_predicate
+        from ..engine.predicates import combine_residual, split_join_predicate
 
-        equi_keys, residual_conjuncts = _split_join_predicate(
+        equi_keys, residual_conjuncts = split_join_predicate(
             plan.predicate, left, right
         )
-        residual = _combine_residual(residual_conjuncts)
+        residual = combine_residual(residual_conjuncts)
         # SQL comparison semantics, matching the engine's hash join: a NULL
         # key compares equal to nothing, so such rows never match.
         buckets: Dict[Tuple, List[Tuple]] = {}

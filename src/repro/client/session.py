@@ -69,17 +69,9 @@ class RemoteSession:
         port: int,
         policy: Optional[ExecutionPolicy] = None,
         connect_timeout: float = 10.0,
-        executor: str = "row",
     ) -> None:
-        if executor not in ("row", "batch"):
-            raise FluentError(
-                f"unknown executor {executor!r}; expected 'row' or 'batch'"
-            )
         self._connection = RemoteConnection(host, port, connect_timeout)
         self.policy = policy
-        #: Physical executor requested in every query frame ("row"/"batch");
-        #: the server applies it when the plan runs on its in-memory engine.
-        self.executor = executor
         self._closed = False
         self._retries = 0
         self._timeouts = 0
@@ -269,8 +261,6 @@ class RemoteSession:
                 "plan": plan_json,
                 "final_coalesce": final_coalesce,
             }
-            if self.executor != "row":
-                frame["executor"] = self.executor
             backend_name = _backend_name(chosen)
             if backend_name is not None:
                 frame["backend"] = backend_name

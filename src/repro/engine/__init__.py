@@ -1,4 +1,8 @@
-"""Multiset engine substrate: tables, catalog, executor, window functions, optimizer."""
+"""Multiset engine substrate: tables, catalog, the columnar batch engine, window functions.
+
+:func:`execute` is the single entry point; in-memory plans run on the
+columnar batch engine of :mod:`repro.engine.batch`.
+"""
 
 from ..planner import optimize
 from .catalog import DEFAULT_PERIOD, Database

@@ -1,32 +1,45 @@
-"""Columnar batch execution: the vectorized twin of the row executor.
+"""The in-memory query engine: columnar batch execution.
 
-Where :mod:`repro.engine.executor` streams Python row tuples through per-row
-closures, this module pushes whole :class:`ColumnarBatch` objects --
+Every in-memory plan runs here (:func:`repro.engine.executor.execute` is
+the entry point).  Operators push whole :class:`ColumnarBatch` objects --
 per-attribute lists plus a multiplicity column -- through column kernels:
 
 * selections evaluate the predicate once per batch via
-  :meth:`~repro.algebra.expressions.Expression.compile_batch` and filter
-  every column with a single zipped comprehension;
+  :meth:`~repro.algebra.expressions.Expression.compile_batch` (or, over
+  row-backed input, :meth:`~repro.algebra.expressions.Expression.compile`
+  per row tuple) and filter with ``itertools.compress``;
 * projections of plain attribute references are **zero-copy** (the output
   batch shares the input columns);
-* the sort-merge interval join hoists the begin columns and bounds its
-  inner scans with ``bisect`` (see :mod:`repro.engine.parallel`), and can
-  fan its equality-key partitions out across a ``multiprocessing`` pool;
+* joins whose predicate contains the interval-overlap pattern -- a pair of
+  opposite-direction strict comparisons across the inputs, i.e.
+  ``l.begin < r.end AND r.begin < l.end`` as emitted by the snapshot
+  rewrite -- run as an **interval join** (see :mod:`repro.engine.parallel`):
+  with equality conjuncts, a hash join on the keys that tests the overlap
+  per candidate pair (sweeping skewed keys); without, a whole-column numpy
+  route or a plane sweep over begin-sorted inputs whose inner scans are
+  bounded with ``bisect``; partitions fan out across a ``multiprocessing``
+  pool when asked.  Other joins hash the equality conjuncts, falling back
+  to a nested loop when there are none;
+* aggregation is hash aggregation and ``EXCEPT ALL`` nets multiplicities
+  per distinct row;
 * coalesce/split/temporal aggregation run batch-aware sweep kernels
   (:func:`repro.temporal.coalesce.coalesce_columns` and the partition
   helpers in :mod:`repro.engine.window`) that emit one output row per
   coalesced interval with a multiplicity instead of duplicating tuples.
 
-The row executor remains the reference semantics: batch output is bag-equal
-with row output for every plan (pinned by the batch differential suite and
-the conformance sweep), which is what makes switching executors a pure
-performance decision.  Selection is per session/query via
-``executor="batch"`` (see :func:`repro.engine.executor.execute`).
+Operators that naturally produce row tuples (joins, aggregation) emit
+row-backed batches; selections and unions above them keep working on the
+rows rather than transposing them, and pass-through operators (rename,
+aliased scans, all-true selections) share their input's storage, so small
+inputs pay few layout conversions.  Correctness is pinned against
+the abstract per-snapshot model and SQLite by the batch differential suite
+and the conformance sweep.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..abstract_model.krelation import aggregate_values
@@ -45,13 +58,11 @@ from ..algebra.operators import (
     Union,
 )
 from . import parallel as _parallel
-from .executor import (
-    ExecutionContext,
-    ExecutorError,
-    PhysicalOperator,
-    _combine_residual,
-    _extract_interval_pattern,
-    _split_join_predicate,
+from .executor import ExecutionContext, ExecutorError, PhysicalOperator
+from .predicates import (
+    combine_residual,
+    extract_interval_pattern,
+    split_join_predicate,
 )
 from .table import Table
 
@@ -103,6 +114,12 @@ class ColumnarBatch:
         self._ones = all_ones
         self._index: Dict[str, int] = {a: i for i, a in enumerate(self.schema)}
 
+    def relabel(self, name: str, schema: Sequence[str]) -> "ColumnarBatch":
+        """The same entries under a new name and schema (storage shared)."""
+        return ColumnarBatch(
+            name, schema, self._columns, self.counts, self._ones, rows=self._rows
+        )
+
     @property
     def columns(self) -> List[List[Any]]:
         """Per-attribute value lists, transposed from the rows on demand."""
@@ -123,7 +140,7 @@ class ColumnarBatch:
     def from_table(cls, table: Table, name: Optional[str] = None) -> "ColumnarBatch":
         """Columnarise a base table, caching the transpose on the table.
 
-        The transposed columns are the batch executor's storage layout, so
+        The transposed columns are the engine's storage layout, so
         they are memoised on the table itself (keyed by the identity and
         length of its rows list -- ``append``/``extend`` grow the list and
         ``clone`` replaces it, so either invalidates the cache).  Kernels
@@ -190,8 +207,8 @@ class ColumnarBatch:
 
     # -- introspection ----------------------------------------------------------------
     #
-    # Same lookup surface as Table, so the executor's join-predicate helpers
-    # (_split_join_predicate and friends) work on either representation.
+    # Same lookup surface as Table, so the join-predicate helpers of
+    # repro.engine.predicates work on either representation.
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -267,14 +284,7 @@ def _execute_node(
             batch = ColumnarBatch.from_table(table)
             scans[id(table)] = batch
         if plan.alias:
-            return ColumnarBatch(
-                plan.alias,
-                batch.schema,
-                batch._columns,
-                batch.counts,
-                batch._ones,
-                rows=batch._rows,
-            )
+            return batch.relabel(plan.alias, batch.schema)
         return batch
 
     if isinstance(plan, ConstantRelation):
@@ -321,26 +331,28 @@ def _execute_node(
 def _selection(
     batch: ColumnarBatch, predicate: Expression, context: ExecutionContext
 ) -> ColumnarBatch:
-    mask = predicate.compile_batch(batch.schema)(batch.columns, len(batch.counts))
+    columns, rows = batch._columns, batch._rows
+    if columns is None:
+        # Row-backed input (a join or aggregation output): test the row
+        # tuples directly instead of transposing them first.
+        assert rows is not None
+        mask = list(map(predicate.compile(batch.schema), rows))
+    else:
+        mask = predicate.compile_batch(batch.schema)(columns, len(batch.counts))
     if all(mask):
         context.count("rows_filtered", 0)
-        return ColumnarBatch(
-            "selection",
-            batch.schema,
-            batch._columns,
-            batch.counts,
-            batch._ones,
-            rows=batch._rows,
-        )
-    columns = [
-        [value for value, keep in zip(column, mask) if keep]
-        for column in batch.columns
-    ]
-    counts = [count for count, keep in zip(batch.counts, mask) if keep]
+        return batch.relabel("selection", batch.schema)
+    # compress() filters each layout the batch holds at C speed.
+    counts = list(compress(batch.counts, mask))
     context.count("rows_filtered", len(batch.counts) - len(counts))
     # A subset of an all-ones counts column stays all ones; otherwise unknown.
     return ColumnarBatch(
-        "selection", batch.schema, columns, counts, True if batch._ones else None
+        "selection",
+        batch.schema,
+        None if columns is None else [list(compress(c, mask)) for c in columns],
+        counts,
+        True if batch._ones else None,
+        rows=None if rows is None else list(compress(rows, mask)),
     )
 
 
@@ -365,14 +377,8 @@ def _rename(batch: ColumnarBatch, renames: Dict[str, str]) -> ColumnarBatch:
     missing = set(renames) - set(batch.schema)
     if missing:
         raise ExecutorError(f"cannot rename unknown attributes {sorted(missing)}")
-    schema = tuple(renames.get(name, name) for name in batch.schema)
-    return ColumnarBatch(
-        batch.name,
-        schema,
-        batch._columns,
-        batch.counts,
-        batch._ones,
-        rows=batch._rows,
+    return batch.relabel(
+        batch.name, tuple(renames.get(name, name) for name in batch.schema)
     )
 
 
@@ -382,23 +388,19 @@ def _union(left: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch:
             f"union-incompatible schemas {left.schema} and {right.schema}"
         )
     ones = True if left._ones and right._ones else None
-    if left._columns is None or right._columns is None:
-        # At least one side is row-backed: concatenating entry rows avoids
-        # forcing its transpose (and stays lazy for the output).
-        return ColumnarBatch(
-            "union",
-            left.schema,
-            None,
-            left.counts + right.counts,
-            ones,
-            rows=left.entry_rows() + right.entry_rows(),
-        )
-    columns = [
-        left_column + right_column
-        for left_column, right_column in zip(left.columns, right.columns)
-    ]
+    # Concatenate every layout both sides already hold (list concatenation
+    # is a C-speed copy); transpose only when they share none, and then
+    # toward rows, which a row-backed side (e.g. a join output) has.
+    rows = None
+    if left._rows is not None and right._rows is not None:
+        rows = left._rows + right._rows
+    columns = None
+    if left._columns is not None and right._columns is not None:
+        columns = [a + b for a, b in zip(left._columns, right._columns)]
+    if rows is None and columns is None:
+        rows = left.entry_rows() + right.entry_rows()
     return ColumnarBatch(
-        "union", left.schema, columns, left.counts + right.counts, ones
+        "union", left.schema, columns, left.counts + right.counts, ones, rows=rows
     )
 
 
@@ -457,9 +459,9 @@ def _aggregate(
     for key, positions in groups.items():
         values: List[Any] = []
         for spec, column in zip(aggregates, argument_columns):
-            # Weighted flavour of the row engine's _aggregate_members: each
-            # batch entry contributes its multiplicity, so counts>1 rows
-            # aggregate exactly like their expanded duplicates would.
+            # Each batch entry contributes its multiplicity, so counts>1
+            # rows aggregate exactly like their expanded duplicates would
+            # (NULL arguments are ignored, as in SQL).
             if spec.func == "count":
                 if column is None:
                     values.append(sum(counts[p] for p in positions))
@@ -500,17 +502,17 @@ def _join(
         )
     schema = left.schema + right.schema
 
-    # Obey a cost-planner strategy hint exactly like the row executor:
-    # skipped pattern parts stay in the residual / full predicate, so the
-    # output bag is identical for every strategy.
+    # A cost-planner strategy hint on the node narrows the dispatch; every
+    # strategy computes the same bag (skipped pattern parts stay in the
+    # residual / full predicate), so hints can never change results.
     hint = node.strategy if node is not None else None
-    equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
+    equi_keys, residual_conjuncts = split_join_predicate(predicate, left, right)
     interval = None
     if context.interval_join and hint in (None, "interval"):
-        interval, residual_conjuncts = _extract_interval_pattern(
+        interval, residual_conjuncts = extract_interval_pattern(
             residual_conjuncts, left, right
         )
-    residual = _combine_residual(residual_conjuncts)
+    residual = combine_residual(residual_conjuncts)
     if hint == "nested_loop":
         interval = None
         equi_keys = []
@@ -568,11 +570,12 @@ def _interval_join(
     Partitions come from the equality conjuncts (one per distinct key) or,
     without any, from fragment-replicate chunking of the left input.  The
     pool engages only when the context explicitly requests ``>= 2`` workers
-    and the input is big enough to amortise process startup; otherwise every
-    partition runs the serial bisect sweep in this process.  The serial
+    and the input is big enough to amortise process startup.  Serially, a
+    keyed join probes hashed key buckets
+    (:func:`~repro.engine.parallel.keyed_interval_join`), and the
     no-equality-key case takes a vectorised column route (two searchsorted
     range scans per overlap direction) when numpy is available and the
-    period columns are plain ints.
+    period columns are plain ints, else the bisect sweep.
     """
     keep = residual.compile(schema) if residual is not None else None
     checkpoint = context.checkpoint if context._limited else None
@@ -604,6 +607,14 @@ def _interval_join(
         context.count("join_strategy.interval_vectorized")
         return
 
+    if keys and not parallel_wanted:
+        context.count(
+            "batch.partitions",
+            _parallel.keyed_interval_join(
+                left_rows, right_rows, keys, lb, le, rb, re, keep, out, checkpoint
+            ),
+        )
+        return
     if keys:
         partitions = _parallel.partition_by_keys(left_rows, right_rows, keys)
     elif parallel_wanted:
@@ -635,37 +646,25 @@ def _hash_join(
     out: List[Row],
     context: ExecutionContext,
 ) -> None:
-    left_indexes = [li for li, _ri in keys]
-    right_indexes = [ri for _li, ri in keys]
-    # Same NULL-key exclusion as the row engine's hash join.
-    buckets: Dict[Tuple[Any, ...], List[Row]] = {}
-    for row in right_rows:
-        key = tuple(row[index] for index in right_indexes)
-        if None in key:
-            continue
-        buckets.setdefault(key, []).append(row)
+    # NULL keys match nothing: key_buckets drops them from the build side,
+    # so a NULL probe key never finds a bucket.
+    buckets = _parallel.key_buckets(right_rows, [ri for _li, ri in keys])
+    get = buckets.get
     keep = residual.compile(schema) if residual is not None else None
     limited = context._limited
-    empty: Tuple[Row, ...] = ()
-    for left_row in left_rows:
+    emit = out.append
+    for key, left_row in zip(
+        map(itemgetter(*[li for li, _ri in keys]), left_rows), left_rows
+    ):
+        matches = get(key)
+        if matches is None:
+            continue
         if limited:
             context.checkpoint(len(out))
-        key = tuple(left_row[index] for index in left_indexes)
-        if None in key:
-            continue
-        matches = buckets.get(key, empty)
-        if not matches:
-            continue
-        if keep is None:
-            out.extend([left_row + right_row for right_row in matches])
-        else:
-            out.extend(
-                [
-                    combined
-                    for right_row in matches
-                    if keep(combined := left_row + right_row)
-                ]
-            )
+        for right_row in matches:
+            combined = left_row + right_row
+            if keep is None or keep(combined):
+                emit(combined)
 
 
 def _nested_loop_join(

@@ -1,69 +1,42 @@
 """Plan execution over multiset tables (the non-temporal query engine).
 
 This is the substrate standing in for PostgreSQL/DBX/DBY in the paper's
-experiments: a straightforward bag-semantics executor for the logical
-algebra of :mod:`repro.algebra.operators`.  The rewriting middleware
-(:mod:`repro.rewriter`) produces ordinary plans plus two *physical extension
-operators* (coalesce and split); those subclass :class:`PhysicalOperator`
-and are executed through the extension hook here, mirroring how the real
-middleware emits plain SQL containing window-function subqueries.
+experiments: a bag-semantics engine for the logical algebra of
+:mod:`repro.algebra.operators`.  The rewriting middleware
+(:mod:`repro.rewriter`) produces ordinary plans plus *physical extension
+operators* (coalesce, split, fused temporal aggregation); those subclass
+:class:`PhysicalOperator` and are executed through the extension hook,
+mirroring how the real middleware emits plain SQL containing
+window-function subqueries.
 
-Physical choices:
+:func:`execute` is the single entry point.  In-memory plans run on the
+columnar batch engine of :mod:`repro.engine.batch`; any other registered
+backend (SQLite above all) receives the plan through
+:mod:`repro.backends`.  This module holds what both the engine and its
+callers share: the :class:`ExecutionContext` carried through a run, the
+:class:`PhysicalOperator` hook and :class:`ExecutorError`.
 
-* joins whose predicate contains the interval-overlap pattern -- a pair of
-  opposite-direction strict comparisons across the inputs, i.e.
-  ``l.begin < r.end AND r.begin < l.end`` as emitted by the snapshot
-  rewrite -- run as a **sort-merge interval join** (a forward-scan plane
-  sweep over begin-sorted inputs, partitioned by the equality conjuncts
-  when present), instead of filtering a nested-loop or hash-join result;
-* other joins use a hash join on the equality conjuncts of the predicate
-  (the residual is evaluated as a filter on candidate pairs), falling back
-  to a nested-loop join when no equality conjunct exists;
-* aggregation is hash aggregation;
-* ``EXCEPT ALL`` is evaluated with multiset counters.
-
-The strategy chosen per join is reported through the statistics mapping
-under ``join_strategy.interval`` / ``join_strategy.hash`` /
+The join strategy chosen per join is reported through the statistics
+mapping under ``join_strategy.interval`` / ``join_strategy.hash`` /
 ``join_strategy.nested_loop`` (plus the historical ``hash_joins`` /
 ``nested_loop_joins`` / ``interval_joins`` aliases).
-
-Every scalar expression on a hot path (selection predicates, projection
-columns, join residuals, aggregate arguments) is compiled once per plan
-node via :meth:`repro.algebra.expressions.Expression.compile` into a
-closure over raw row tuples; no per-row dictionaries are materialised
-anywhere in the executor.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 if TYPE_CHECKING:  # avoids the runtime import cycle engine -> backends -> engine
     from ..backends.base import ExecutionBackend
     from ..execution import Deadline, QueryLimits
+    from .batch import ColumnarBatch
 
-from ..abstract_model.krelation import aggregate_values
 from ..errors import ResourceLimitError
-from ..algebra.expressions import Attribute, BooleanOp, Comparison, Expression
-from ..algebra.operators import (
-    Aggregation,
-    AlgebraError,
-    ConstantRelation,
-    Difference,
-    Distinct,
-    Join,
-    Operator,
-    Projection,
-    RelationAccess,
-    Rename,
-    Selection,
-    Union,
-)
+from ..algebra.operators import AlgebraError, Operator
 from .catalog import Database
-from .table import Table, tuple_getter
+from .table import Table
 
 __all__ = ["ExecutionContext", "PhysicalOperator", "execute", "ExecutorError"]
 
@@ -89,13 +62,8 @@ class ExecutionContext:
     #: hash/nested-loop strategies (used by differential tests and the
     #: overlap-join microbenchmark baseline).
     interval_join: bool = True
-    #: Which physical engine runs the plan: ``"row"`` streams tuples through
-    #: this module, ``"batch"`` routes through the columnar executor in
-    #: :mod:`repro.engine.batch`.
-    executor: str = "row"
-    #: Process count for the batch executor's partitioned interval join;
-    #: ``None`` or ``1`` keeps it serial.  Only meaningful with
-    #: ``executor="batch"``.
+    #: Process count for the partitioned interval join; ``None`` or ``1``
+    #: keeps it serial.
     parallel_workers: Optional[int] = None
     #: Minimum combined join input size (rows) before the worker pool is
     #: worth its startup cost.  The default is the historical constant;
@@ -146,30 +114,19 @@ class ExecutionContext:
 
 
 class PhysicalOperator(Operator):
-    """Extension hook: an operator that executes itself over child tables.
+    """Extension hook: an operator that executes itself over child batches.
 
-    The snapshot middleware adds coalesce and split this way; custom
-    temporal operators (e.g. a native interval merge join) could be slotted
-    in the same way, which is the integration path Section 10.5 of the paper
-    sketches.
+    The snapshot middleware adds coalesce, split and the fused temporal
+    aggregation this way; custom temporal operators (e.g. a native interval
+    merge join) could be slotted in the same way, which is the integration
+    path Section 10.5 of the paper sketches.
     """
 
-    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
+    def execute_batch(
+        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
+    ) -> "ColumnarBatch":
+        """Evaluate the operator over its evaluated children."""
         raise NotImplementedError
-
-    def execute_batch(self, children: Sequence[Any], context: ExecutionContext) -> Any:
-        """Columnar twin of :meth:`execute`, over ``ColumnarBatch`` children.
-
-        The default bridges through the row implementation (expand the child
-        batches to tables, run :meth:`execute`, re-columnarise), so any
-        physical operator works on the batch executor unchanged; operators
-        with a native sweep kernel (coalesce/split/temporal aggregation)
-        override this.
-        """
-        from .batch import ColumnarBatch
-
-        tables = [child.to_table() for child in children]
-        return ColumnarBatch.from_table(self.execute(tables, context))
 
 
 def execute(
@@ -179,7 +136,6 @@ def execute(
     backend: "str | ExecutionBackend | None" = None,
     interval_join: bool = True,
     limits: "Optional[QueryLimits]" = None,
-    executor: str = "row",
     parallel_workers: Optional[int] = None,
     parallel_threshold: Optional[int] = None,
     observations: Optional[Dict[int, Dict[str, Any]]] = None,
@@ -187,7 +143,8 @@ def execute(
     """Execute a logical plan against the catalog and return a result table.
 
     ``backend`` selects the execution host: ``None`` (or ``"memory"``) runs
-    the in-process engine below; any other registered backend name -- or an
+    the in-process columnar engine (:mod:`repro.engine.batch`); any other
+    registered backend name -- or an
     :class:`~repro.backends.ExecutionBackend` instance, e.g. a session
     :class:`~repro.backends.SQLiteBackend` reusing one connection -- routes
     the plan through :mod:`repro.backends` instead.  ``interval_join=False``
@@ -195,20 +152,13 @@ def execute(
     the nested-loop/hash fallback for overlap predicates.  ``limits``
     carries a per-execution deadline and row budget (see
     :class:`repro.execution.QueryLimits`), enforced cooperatively inside
-    the operator loops.  ``executor`` picks the physical engine for the
-    in-memory backend: ``"row"`` (tuple streaming, this module) or
-    ``"batch"`` (columnar batches, :mod:`repro.engine.batch`), with
-    ``parallel_workers`` sizing the batch engine's partitioned-join pool.
-    ``parallel_threshold`` overrides the pool's engage threshold (the
+    the operator loops.  ``parallel_workers`` sizes the partitioned-join
+    pool and ``parallel_threshold`` overrides its engage threshold (the
     cost planner derives it from table statistics; ``None`` keeps the
-    4096-row constant), and ``observations`` -- when a dict is passed --
+    4096-row constant).  ``observations`` -- when a dict is passed --
     collects per-node ``actual_rows`` / ``join_strategy`` readouts for
     ``explain()`` (in-memory engine only).
     """
-    if executor not in ("row", "batch"):
-        raise ExecutorError(
-            f"unknown executor {executor!r}; expected 'row' or 'batch'"
-        )
     if backend is not None and backend != "memory":
         from ..backends.base import resolve_backend
         from ..execution import backend_accepts_limits
@@ -226,19 +176,13 @@ def execute(
         interval_join=interval_join,
         deadline=limits.deadline if limits is not None else None,
         row_budget=limits.row_budget if limits is not None else None,
-        executor=executor,
         parallel_workers=parallel_workers,
         observations=observations,
     )
     if parallel_threshold is not None:
         context.parallel_threshold = parallel_threshold
-    context.count(f"executor.{executor}")
     try:
-        if executor == "batch":
-            from .batch import execute_batch_plan
-
-            return execute_batch_plan(plan, context)
-        return _execute(plan, context)
+        return execute_batch_plan(plan, context)
     finally:
         # Fold counts back even when a plan raises mid-execution, so the
         # caller keeps the partial statistics of the stages that did run.
@@ -247,545 +191,6 @@ def execute(
                 statistics[key] = statistics.get(key, 0) + amount
 
 
-def _execute(plan: Operator, context: ExecutionContext) -> Table:
-    context.checkpoint()
-    result = _execute_node(plan, context)
-    if context._limited:
-        context.checkpoint(len(result.rows))
-    if context.observations is not None:
-        context.observations.setdefault(id(plan), {})["actual_rows"] = len(
-            result.rows
-        )
-    return result
-
-
-def _execute_node(plan: Operator, context: ExecutionContext) -> Table:
-    if isinstance(plan, PhysicalOperator):
-        children = [_execute(child, context) for child in plan.children()]
-        context.count(type(plan).__name__.lower())
-        return plan.execute(children, context)
-
-    if isinstance(plan, RelationAccess):
-        table = context.database.table(plan.name)
-        if plan.alias:
-            return Table(plan.alias, table.schema, table.rows)
-        return table
-
-    if isinstance(plan, ConstantRelation):
-        return Table("constant", plan.schema, plan.rows)
-
-    if isinstance(plan, Selection):
-        return _selection(_execute(plan.child, context), plan.predicate, context)
-
-    if isinstance(plan, Projection):
-        return _projection(_execute(plan.child, context), plan.columns, context)
-
-    if isinstance(plan, Rename):
-        return _rename(_execute(plan.child, context), dict(plan.renames))
-
-    if isinstance(plan, Join):
-        left = _execute(plan.left, context)
-        right = _execute(plan.right, context)
-        return _join(left, right, plan.predicate, context, plan)
-
-    if isinstance(plan, Union):
-        left = _execute(plan.left, context)
-        right = _execute(plan.right, context)
-        return _union(left, right)
-
-    if isinstance(plan, Difference):
-        left = _execute(plan.left, context)
-        right = _execute(plan.right, context)
-        return _except_all(left, right)
-
-    if isinstance(plan, Aggregation):
-        return _aggregate(
-            _execute(plan.child, context), plan.group_by, plan.aggregates
-        )
-
-    if isinstance(plan, Distinct):
-        child = _execute(plan.child, context)
-        result = child.empty_copy("distinct")
-        result.extend(dict.fromkeys(child.rows))
-        return result
-
-    raise ExecutorError(f"unsupported operator {type(plan).__name__}")
-
-
-# -- individual physical operators ---------------------------------------------------------------
-
-
-def _selection(table: Table, predicate: Expression, context: ExecutionContext) -> Table:
-    result = table.empty_copy("selection")
-    keep = predicate.compile(table.schema)
-    result.rows = [row for row in table.rows if keep(row)]
-    context.count("rows_filtered", len(table) - len(result))
-    return result
-
-
-def _projection(
-    table: Table, columns: Tuple[Tuple[Expression, str], ...], context: ExecutionContext
-) -> Table:
-    result = Table("projection", tuple(name for _, name in columns))
-    simple_indexes = _simple_attribute_indexes(table, columns)
-    if simple_indexes is not None:
-        getter = tuple_getter(simple_indexes)
-        result.rows = [getter(row) for row in table.rows]
-        return result
-    compiled = tuple(expr.compile(table.schema) for expr, _ in columns)
-    if len(compiled) == 1:
-        (only,) = compiled
-        result.rows = [(only(row),) for row in table.rows]
-    elif len(compiled) == 2:
-        first, second = compiled
-        result.rows = [(first(row), second(row)) for row in table.rows]
-    elif len(compiled) == 3:
-        first, second, third = compiled
-        result.rows = [(first(row), second(row), third(row)) for row in table.rows]
-    else:
-        result.rows = [tuple(fn(row) for fn in compiled) for row in table.rows]
-    return result
-
-
-def _simple_attribute_indexes(
-    table: Table, columns: Tuple[Tuple[Expression, str], ...]
-) -> Optional[List[int]]:
-    """Positional fast path when every projection expression is an attribute."""
-    indexes: List[int] = []
-    for expr, _name in columns:
-        if not isinstance(expr, Attribute):
-            return None
-        indexes.append(table.column_index(expr.name))
-    return indexes
-
-
-def _rename(table: Table, renames: Dict[str, str]) -> Table:
-    missing = set(renames) - set(table.schema)
-    if missing:
-        raise ExecutorError(f"cannot rename unknown attributes {sorted(missing)}")
-    schema = tuple(renames.get(name, name) for name in table.schema)
-    return Table(table.name, schema, table.rows)
-
-
-def _union(left: Table, right: Table) -> Table:
-    if len(left.schema) != len(right.schema):
-        raise ExecutorError(
-            f"union-incompatible schemas {left.schema} and {right.schema}"
-        )
-    result = left.empty_copy("union")
-    result.rows = list(left.rows)
-    result.rows.extend(right.rows)
-    return result
-
-
-def _except_all(left: Table, right: Table) -> Table:
-    if len(left.schema) != len(right.schema):
-        raise ExecutorError(
-            f"difference-incompatible schemas {left.schema} and {right.schema}"
-        )
-    remaining = Counter(left.rows)
-    remaining.subtract(Counter(right.rows))
-    result = left.empty_copy("except_all")
-    for row, count in remaining.items():
-        if count > 0:
-            result.rows.extend([row] * count)
-    return result
-
-
-def _aggregate(table: Table, group_by: Tuple[str, ...], aggregates) -> Table:
-    unknown = set(group_by) - set(table.schema)
-    if unknown:
-        raise ExecutorError(f"unknown group-by attributes {sorted(unknown)}")
-    group_key = tuple_getter([table.column_index(a) for a in group_by])
-    compiled = [
-        None if spec.argument is None else spec.argument.compile(table.schema)
-        for spec in aggregates
-    ]
-
-    groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in table.rows:
-        groups.setdefault(group_key(row), []).append(row)
-    if not group_by and not groups:
-        groups[()] = []
-
-    result = Table(
-        "aggregation", tuple(group_by) + tuple(spec.alias for spec in aggregates)
-    )
-    for key, members in groups.items():
-        values = tuple(
-            _aggregate_members(spec.func, argument, members)
-            for spec, argument in zip(aggregates, compiled)
-        )
-        result.append(key + values)
-    return result
-
-
-def _aggregate_members(func: str, argument, rows: List[Tuple[Any, ...]]) -> Any:
-    """One SQL aggregate over raw rows (compiled argument, multiplicity 1).
-
-    Same semantics as :func:`repro.abstract_model.krelation.aggregate_rows`
-    -- ``None`` argument values are ignored like SQL NULLs, an empty input
-    yields ``0`` for ``count`` and ``None`` otherwise -- sharing its
-    :func:`~repro.abstract_model.krelation.aggregate_values` dispatch.
-    """
-    if func == "count":
-        if argument is None:
-            return len(rows)
-        return sum(1 for row in rows if argument(row) is not None)
-    return aggregate_values(
-        func, [(v, 1) for v in map(argument, rows) if v is not None]
-    )
-
-
-# -- join -----------------------------------------------------------------------------------------
-
-
-def _join(
-    left: Table,
-    right: Table,
-    predicate: Optional[Expression],
-    context: ExecutionContext,
-    node: Optional[Join] = None,
-) -> Table:
-    overlap = set(left.schema) & set(right.schema)
-    if overlap:
-        raise ExecutorError(
-            f"join inputs share attributes {sorted(overlap)}; rename first"
-        )
-    schema = left.schema + right.schema
-    result = Table("join", schema)
-
-    # A cost-planner strategy hint on the node narrows the dispatch; every
-    # strategy computes the same bag (unmatched pattern parts stay in the
-    # residual / full predicate), so hints can never change results.
-    hint = node.strategy if node is not None else None
-    equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
-    interval = None
-    if context.interval_join and hint in (None, "interval"):
-        interval, residual_conjuncts = _extract_interval_pattern(
-            residual_conjuncts, left, right
-        )
-    residual = _combine_residual(residual_conjuncts)
-    if hint == "nested_loop":
-        interval = None
-        equi_keys = []
-    elif hint == "hash":
-        interval = None
-    if interval is not None:
-        chosen = "interval"
-        context.count("interval_joins")
-        context.count("join_strategy.interval")
-        _interval_join(left, right, equi_keys, interval, residual, result, context)
-    elif equi_keys:
-        chosen = "hash"
-        context.count("hash_joins")
-        context.count("join_strategy.hash")
-        _hash_join(left, right, equi_keys, residual, result, context)
-    else:
-        chosen = "nested_loop"
-        context.count("nested_loop_joins")
-        context.count("join_strategy.nested_loop")
-        _nested_loop_join(left, right, predicate, result, context)
-    if context.observations is not None and node is not None:
-        context.observations.setdefault(id(node), {})["join_strategy"] = chosen
-    return result
-
-
-def _split_join_predicate(
-    predicate: Optional[Expression], left: Table, right: Table
-) -> Tuple[List[Tuple[int, int]], List[Expression]]:
-    """Split a predicate into hashable equi-join key pairs and residual conjuncts.
-
-    Returns ``(pairs, residual)`` where each pair is (left column index,
-    right column index).  Conjuncts that are not attribute equalities across
-    the two inputs stay in the residual list.
-    """
-    if predicate is None:
-        return [], []
-    conjuncts = _flatten_conjuncts(predicate)
-    pairs: List[Tuple[int, int]] = []
-    residual: List[Expression] = []
-    for conjunct in conjuncts:
-        pair = _equi_pair(conjunct, left, right)
-        if pair is None:
-            residual.append(conjunct)
-        else:
-            pairs.append(pair)
-    return pairs, residual
-
-
-def _combine_residual(conjuncts: List[Expression]) -> Optional[Expression]:
-    if not conjuncts:
-        return None
-    if len(conjuncts) == 1:
-        return conjuncts[0]
-    return BooleanOp("and", tuple(conjuncts))
-
-
-def _flatten_conjuncts(predicate: Expression) -> List[Expression]:
-    if isinstance(predicate, BooleanOp) and predicate.op == "and":
-        result: List[Expression] = []
-        for operand in predicate.operands:
-            result.extend(_flatten_conjuncts(operand))
-        return result
-    return [predicate]
-
-
-def _equi_pair(
-    conjunct: Expression, left: Table, right: Table
-) -> Optional[Tuple[int, int]]:
-    if not (isinstance(conjunct, Comparison) and conjunct.op == "="):
-        return None
-    lhs, rhs = conjunct.left, conjunct.right
-    if not (isinstance(lhs, Attribute) and isinstance(rhs, Attribute)):
-        return None
-    if left.has_attribute(lhs.name) and right.has_attribute(rhs.name):
-        return left.column_index(lhs.name), right.column_index(rhs.name)
-    if left.has_attribute(rhs.name) and right.has_attribute(lhs.name):
-        return left.column_index(rhs.name), right.column_index(lhs.name)
-    return None
-
-
-def _hash_join(
-    left: Table,
-    right: Table,
-    keys: List[Tuple[int, int]],
-    residual: Optional[Expression],
-    result: Table,
-    context: ExecutionContext,
-) -> None:
-    left_key = tuple_getter([li for li, _ri in keys])
-    right_key = tuple_getter([ri for _li, ri in keys])
-
-    # SQL comparison semantics: a NULL key compares equal to nothing, itself
-    # included, so rows with a NULL in any key column can never match and are
-    # excluded from both the build and the probe side (Python's ``None ==
-    # None`` would otherwise pair them up).
-    buckets: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in right.rows:
-        key = right_key(row)
-        if None in key:
-            continue
-        buckets.setdefault(key, []).append(row)
-
-    # The residual (e.g. a non-equality conjunct over both inputs) is
-    # compiled once against the concatenated schema and applied to the
-    # concatenated candidate tuples -- no per-pair dict.
-    out = result.rows
-    empty: Tuple[Tuple[Any, ...], ...] = ()
-    limited = context._limited
-    if residual is None:
-        for left_row in left.rows:
-            if limited:
-                context.checkpoint(len(out))
-            key = left_key(left_row)
-            if None in key:
-                continue
-            for right_row in buckets.get(key, empty):
-                out.append(left_row + right_row)
-        return
-    keep = residual.compile(left.schema + right.schema)
-    for left_row in left.rows:
-        if limited:
-            context.checkpoint(len(out))
-        key = left_key(left_row)
-        if None in key:
-            continue
-        for right_row in buckets.get(key, empty):
-            combined = left_row + right_row
-            if keep(combined):
-                out.append(combined)
-
-
-# -- sort-merge interval join ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _IntervalPattern:
-    """Column indexes of a detected overlap predicate.
-
-    The predicate ``left[begin] < right[end] AND right[begin] < left[end]``
-    is exactly the strict-overlap test of the intervals
-    ``[left.begin, left.end)`` and ``[right.begin, right.end)`` -- the shape
-    every REWR join carries.
-    """
-
-    left_begin: int
-    left_end: int
-    right_begin: int
-    right_end: int
-
-
-def _extract_interval_pattern(
-    conjuncts: List[Expression], left: Table, right: Table
-) -> Tuple[Optional[_IntervalPattern], List[Expression]]:
-    """Find an overlap pattern among residual conjuncts.
-
-    Looks for one strict attribute comparison in each direction across the
-    inputs (``l.a < r.b`` and ``r.c < l.d``, with ``>`` normalised); together
-    they state that interval ``(a, d)`` on the left overlaps ``(c, b)`` on
-    the right.  Returns the pattern (or ``None``) plus the leftover
-    conjuncts, which the join applies as a filter on matching pairs.
-    """
-    forward: Optional[Tuple[int, int]] = None  # left column < right column
-    backward: Optional[Tuple[int, int]] = None  # right column < left column
-    remaining: List[Expression] = []
-    for conjunct in conjuncts:
-        sides = _strict_cross_comparison(conjunct, left, right)
-        if sides is None:
-            remaining.append(conjunct)
-            continue
-        direction, low, high = sides
-        if direction == "forward" and forward is None:
-            forward = (low, high)
-        elif direction == "backward" and backward is None:
-            backward = (low, high)
-        else:
-            remaining.append(conjunct)
-    if forward is None or backward is None:
-        return None, conjuncts
-    pattern = _IntervalPattern(
-        left_begin=forward[0],
-        left_end=backward[1],
-        right_begin=backward[0],
-        right_end=forward[1],
-    )
-    return pattern, remaining
-
-
-def _strict_cross_comparison(
-    conjunct: Expression, left: Table, right: Table
-) -> Optional[Tuple[str, int, int]]:
-    """Classify a conjunct as a strict ``<`` between the two inputs.
-
-    Returns ``("forward", left index, right index)`` for ``l.a < r.b``,
-    ``("backward", right index, left index)`` for ``r.c < l.d`` (both after
-    normalising ``>``), or ``None``.
-    """
-    if not (isinstance(conjunct, Comparison) and conjunct.op in ("<", ">")):
-        return None
-    lhs, rhs = conjunct.left, conjunct.right
-    if conjunct.op == ">":
-        lhs, rhs = rhs, lhs
-    if not (isinstance(lhs, Attribute) and isinstance(rhs, Attribute)):
-        return None
-    if left.has_attribute(lhs.name) and right.has_attribute(rhs.name):
-        return "forward", left.column_index(lhs.name), right.column_index(rhs.name)
-    if right.has_attribute(lhs.name) and left.has_attribute(rhs.name):
-        return "backward", right.column_index(lhs.name), left.column_index(rhs.name)
-    return None
-
-
-def _interval_join(
-    left: Table,
-    right: Table,
-    keys: List[Tuple[int, int]],
-    pattern: _IntervalPattern,
-    residual: Optional[Expression],
-    result: Table,
-    context: ExecutionContext,
-) -> None:
-    """Forward-scan plane sweep over begin-sorted inputs.
-
-    Both inputs are sorted by interval begin; the side whose current head
-    starts earlier scans the other side forward while begins fall before its
-    end, emitting overlapping pairs.  Each qualifying pair is found exactly
-    once (by whichever row starts first, ties to the left input), in
-    ``O(n log n + output)`` instead of the nested loop's ``O(n^2)``.
-    Degenerate intervals (``begin >= end``) and NULL end points follow the
-    raw predicate semantics: NULL comparisons are false, so such rows are
-    dropped up front, while degenerate intervals still join wherever the
-    two strict comparisons hold.  When equality conjuncts accompany the
-    overlap pattern the sweep runs per equality-key partition.
-    """
-    keep = (
-        residual.compile(left.schema + right.schema) if residual is not None else None
-    )
-    out = result.rows
-    limited = context._limited
-    lb, le = pattern.left_begin, pattern.left_end
-    rb, re = pattern.right_begin, pattern.right_end
-
-    def sweep(left_rows: List[Tuple[Any, ...]], right_rows: List[Tuple[Any, ...]]) -> None:
-        lhs = [r for r in left_rows if r[lb] is not None and r[le] is not None]
-        rhs = [r for r in right_rows if r[rb] is not None and r[re] is not None]
-        lhs.sort(key=itemgetter(lb))
-        rhs.sort(key=itemgetter(rb))
-        n_left, n_right = len(lhs), len(rhs)
-        i = j = 0
-        while i < n_left and j < n_right:
-            if limited:
-                context.checkpoint(len(out))
-            left_row = lhs[i]
-            right_row = rhs[j]
-            if left_row[lb] <= right_row[rb]:
-                begin, end = left_row[lb], left_row[le]
-                k = j
-                while k < n_right and rhs[k][rb] < end:
-                    if begin < rhs[k][re]:
-                        combined = left_row + rhs[k]
-                        if keep is None or keep(combined):
-                            out.append(combined)
-                    k += 1
-                i += 1
-            else:
-                begin, end = right_row[rb], right_row[re]
-                k = i
-                while k < n_left and lhs[k][lb] < end:
-                    if begin < lhs[k][le]:
-                        combined = lhs[k] + right_row
-                        if keep is None or keep(combined):
-                            out.append(combined)
-                    k += 1
-                j += 1
-
-    if not keys:
-        sweep(left.rows, right.rows)
-        return
-    # Partition both sides by the equality keys (SQL NULL semantics: a NULL
-    # key matches nothing) and sweep each co-partition.
-    left_key = tuple_getter([li for li, _ri in keys])
-    right_key = tuple_getter([ri for _li, ri in keys])
-    right_parts: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in right.rows:
-        key = right_key(row)
-        if None in key:
-            continue
-        right_parts.setdefault(key, []).append(row)
-    left_parts: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in left.rows:
-        key = left_key(row)
-        if None in key:
-            continue
-        left_parts.setdefault(key, []).append(row)
-    for key, left_rows in left_parts.items():
-        right_rows = right_parts.get(key)
-        if right_rows:
-            sweep(left_rows, right_rows)
-
-
-def _nested_loop_join(
-    left: Table,
-    right: Table,
-    predicate: Optional[Expression],
-    result: Table,
-    context: ExecutionContext,
-) -> None:
-    out = result.rows
-    right_rows = right.rows
-    limited = context._limited
-    if predicate is None:
-        for left_row in left.rows:
-            if limited:
-                context.checkpoint(len(out))
-            for right_row in right_rows:
-                out.append(left_row + right_row)
-        return
-    keep = predicate.compile(left.schema + right.schema)
-    for left_row in left.rows:
-        if limited:
-            context.checkpoint(len(out))
-        for right_row in right_rows:
-            combined = left_row + right_row
-            if keep(combined):
-                out.append(combined)
+# The engine module imports the context and hook defined above, so it is
+# bound last; the package __init__ always imports this module first.
+from .batch import execute_batch_plan  # noqa: E402

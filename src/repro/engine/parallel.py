@@ -1,10 +1,13 @@
-"""Multi-core partitioned interval joins for the columnar batch executor.
+"""Interval-join kernels for the columnar batch engine, serial and pooled.
 
-The batch executor partitions a sort-merge interval join by its equality
-conjuncts (one partition per distinct key, as the row engine already does
-serially) or -- when the overlap predicate carries no equality conjunct --
-by fragment-replicate chunking of the left input.  This module runs those
-partitions across a :mod:`multiprocessing` pool.
+Serially, a join with equality conjuncts runs as a hash join that tests
+the overlap per candidate pair (:func:`keyed_interval_join`), and one
+without runs the whole-column :func:`interval_join_vectorized` or the
+bisect-bounded :func:`interval_sweep`.  For a pool the engine partitions
+the join by its equality conjuncts (:func:`partition_by_keys`, one
+partition per distinct key) or -- when the overlap predicate carries no
+equality conjunct -- by fragment-replicate chunking of the left input, and
+this module runs those partitions across a :mod:`multiprocessing` pool.
 
 Design constraints that shaped the code:
 
@@ -21,19 +24,16 @@ Design constraints that shaped the code:
   polls its deadline between partition results, so cancellation is coarser
   in parallel mode (one partition, not one sweep step).
 
-The sweep kernel itself (:func:`interval_sweep`) is also the serial batch
-kernel: it differs from the row engine's sweep by hoisting the begin columns
-and replacing the inner scan bound with :func:`bisect.bisect_left` plus a
-list-comprehension emission, which is where the batch executor's join
-speedup comes from.
+The pooled sweep kernel (:func:`interval_sweep`) hoists the begin columns
+and bounds each inner scan with :func:`bisect.bisect_left` plus a
+list-comprehension emission.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy is optional: interval_join_vectorized reports failure without it.
     import numpy as _np
@@ -45,6 +45,8 @@ from ..algebra.expressions import Expression
 __all__ = [
     "interval_sweep",
     "interval_join_vectorized",
+    "key_buckets",
+    "keyed_interval_join",
     "partition_by_keys",
     "chunk_partitions",
     "run_partitions_parallel",
@@ -53,6 +55,9 @@ __all__ = [
 Row = Tuple[Any, ...]
 #: One co-partition of the join: (left rows, right rows).
 Partition = Tuple[List[Row], List[Row]]
+#: Right-bucket size up to which :func:`keyed_interval_join` probes each
+#: left row against the bucket instead of sweeping the key's partition.
+NESTED_BUCKET = 16
 
 
 def interval_sweep(
@@ -66,15 +71,19 @@ def interval_sweep(
     out: List[Row],
     checkpoint: Optional[Callable[[int], None]] = None,
 ) -> None:
-    """Forward-scan plane sweep, batch flavour.
+    """Forward-scan plane sweep over begin-sorted inputs.
 
-    Same pairing rule as the row engine's ``_interval_join`` sweep (each
-    overlapping pair found exactly once, by whichever row starts first with
-    ties to the left input) and the same NULL semantics (rows with a NULL
-    end point are dropped up front).  The candidate range of the inner scan
-    is located with ``bisect_left`` over the hoisted begin column and the
-    matches are emitted through one list comprehension per head row instead
-    of an interpreted inner loop.
+    Both inputs are sorted by interval begin; the side whose current head
+    starts earlier scans the other side forward while begins fall before
+    its end, emitting overlapping pairs.  Each qualifying pair is found
+    exactly once (by whichever row starts first, ties to the left input),
+    in ``O(n log n + output)`` instead of the nested loop's ``O(n^2)``.
+    Degenerate intervals (``begin >= end``) and NULL end points follow the
+    raw predicate semantics: NULL comparisons are false, so such rows are
+    dropped up front, while degenerate intervals still join wherever the
+    two strict comparisons hold.  The candidate range of the inner scan is
+    located with ``bisect_left`` over the hoisted begin column and the
+    matches are emitted through one list comprehension per head row.
     """
     lhs = [r for r in left_rows if r[lb] is not None and r[le] is not None]
     rhs = [r for r in right_rows if r[rb] is not None and r[re] is not None]
@@ -254,6 +263,30 @@ def interval_join_vectorized(
     return True
 
 
+def key_buckets(rows: Sequence[Row], indexes: Sequence[int]) -> Dict[Any, List[Row]]:
+    """Rows grouped by the values of their key columns, NULL keys dropped.
+
+    A key is the bare value for one key column and a tuple for several
+    (what ``itemgetter(*indexes)`` returns, extracted at C speed).  SQL
+    comparison semantics: a NULL in any key column compares equal to
+    nothing, itself included, so such rows join no bucket.  They are
+    bucketed like any other and their buckets dropped afterwards, which
+    keeps the per-row loop free of NULL tests.
+    """
+    buckets: Dict[Any, List[Row]] = {}
+    get = buckets.get
+    for key, row in zip(map(itemgetter(*indexes), rows), rows):
+        bucket = get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
+    single = len(indexes) == 1
+    for key in [k for k in buckets if (k is None if single else None in k)]:
+        del buckets[key]
+    return buckets
+
+
 def partition_by_keys(
     left_rows: Sequence[Row],
     right_rows: Sequence[Row],
@@ -265,26 +298,76 @@ def partition_by_keys(
     rows join no partition.  Keys present on only one side produce no
     partition (they cannot contribute output).
     """
-    left_indexes = [li for li, _ri in keys]
-    right_indexes = [ri for _li, ri in keys]
-    right_parts: dict[Tuple[Any, ...], List[Row]] = {}
-    for row in right_rows:
-        key = tuple(row[index] for index in right_indexes)
-        if None in key:
+    right_parts = key_buckets(right_rows, [ri for _li, ri in keys])
+    # Left rows are bucketed only under keys the right side has, so NULL
+    # keys (never among the right buckets) fall away here too.
+    left_parts: Dict[Any, List[Row]] = {}
+    get = left_parts.get
+    for key, row in zip(map(itemgetter(*[li for li, _ri in keys]), left_rows), left_rows):
+        part = get(key)
+        if part is None:
+            if key in right_parts:
+                left_parts[key] = [row]
+        else:
+            part.append(row)
+    return [(left_part, right_parts[key]) for key, left_part in left_parts.items()]
+
+
+def keyed_interval_join(
+    left_rows: Sequence[Row],
+    right_rows: Sequence[Row],
+    keys: Sequence[Tuple[int, int]],
+    lb: int,
+    le: int,
+    rb: int,
+    re: int,
+    keep: Optional[Callable[[Row], bool]],
+    out: List[Row],
+    checkpoint: Optional[Callable[[int], None]] = None,
+) -> int:
+    """Serial interval join with equality keys; returns the partition count.
+
+    A hash join on the keys with the overlap test applied per candidate
+    pair: right rows are bucketed by key and every left row probes its
+    bucket.  Equality keys usually split the inputs into many tiny
+    partitions, where this beats building both sides' partitions and
+    sorting each.  A bucket above :data:`NESTED_BUCKET` rows instead
+    collects its left rows and is swept as one partition, so a skewed key
+    stays ``O(n log n)``.  NULL keys and NULL end points match nothing;
+    degenerate intervals join wherever both strict comparisons hold.  The
+    partition count is the number of keys present on both sides, counting
+    only right rows with both end points.
+    """
+    buckets = key_buckets(
+        [r for r in right_rows if r[rb] is not None and r[re] is not None],
+        [ri for _li, ri in keys],
+    )
+    get = buckets.get
+    left_keys = list(map(itemgetter(*[li for li, _ri in keys]), left_rows))
+    swept: Dict[Any, List[Row]] = {}
+    emit = out.append
+    for key, left_row in zip(left_keys, left_rows):
+        bucket = get(key)
+        if bucket is None:
             continue
-        right_parts.setdefault(key, []).append(row)
-    partitions: List[Partition] = []
-    left_parts: dict[Tuple[Any, ...], List[Row]] = {}
-    for row in left_rows:
-        key = tuple(row[index] for index in left_indexes)
-        if None in key:
+        if checkpoint is not None:
+            checkpoint(len(out))
+        if len(bucket) > NESTED_BUCKET:
+            swept.setdefault(key, []).append(left_row)
             continue
-        left_parts.setdefault(key, []).append(row)
-    for key, left_part in left_parts.items():
-        right_part = right_parts.get(key)
-        if right_part:
-            partitions.append((left_part, right_part))
-    return partitions
+        begin, end = left_row[lb], left_row[le]
+        if begin is None or end is None:
+            continue
+        # A plain loop: buckets hold a handful of rows, too few to pay for
+        # a comprehension's frame.
+        for r in bucket:
+            if begin < r[re] and r[rb] < end:
+                combined = left_row + r
+                if keep is None or keep(combined):
+                    emit(combined)
+    for key, lefts in swept.items():
+        interval_sweep(lefts, buckets[key], lb, le, rb, re, keep, out, checkpoint)
+    return len(buckets.keys() & set(left_keys))
 
 
 def chunk_left(
@@ -383,6 +466,10 @@ def run_partitions_parallel(
     costs = [len(left) + len(right) for left, right in partitions]
     chunks = chunk_partitions(range(len(partitions)), costs, workers)
     workers = min(workers, len(chunks))
+    # Imported here: only pooled joins need it, and every in-memory query
+    # imports this module.
+    import multiprocessing
+
     context = multiprocessing.get_context()
     with context.Pool(
         processes=workers,

@@ -59,7 +59,9 @@ class Table:
 
     Rows are stored as tuples in schema order.  The class offers just enough
     relational plumbing for the physical operators (column lookup, row/dict
-    conversion, appends); query logic lives in :mod:`repro.engine.executor`.
+    conversion, appends); query logic lives in :mod:`repro.engine.batch`,
+    which reads a table column-wise through :meth:`ColumnarBatch.from_table
+    <repro.engine.batch.ColumnarBatch.from_table>`.
     """
 
     __slots__ = ("name", "schema", "rows", "_index", "_columns_cache")

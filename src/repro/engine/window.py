@@ -167,14 +167,14 @@ def apply_window(
     return result
 
 
-# -- columnar sweep helpers (batch executor) -------------------------------------------
+# -- columnar sweep helpers (batch engine) ---------------------------------------------
 #
-# The split operator's batch path works on parallel columns instead of row
-# tuples; these two helpers are its sweep-line core.  They mirror the window
-# SQL exactly: endpoints are collected per group from *all* rows (NULL and
-# degenerate intervals included -- their points still cut other rows in the
-# row engine too), and a cut point only applies where ``begin < p < end``
-# holds under three-valued comparison (NULL cuts never do).
+# The split operator works on parallel columns instead of row tuples; these
+# two helpers are its sweep-line core.  They mirror the window SQL exactly:
+# endpoints are collected per group from *all* rows (NULL and degenerate
+# intervals included -- their points still cut other rows), and a cut point
+# only applies where ``begin < p < end`` holds under three-valued
+# comparison (NULL cuts never do).
 
 
 def collect_group_endpoints(

@@ -35,7 +35,9 @@ full refresh instead of an incorrect propagation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
+from itertools import compress
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..algebra.operators import (
     Aggregation,
@@ -51,7 +53,7 @@ from ..algebra.operators import (
     Union as UnionOp,
 )
 from ..engine.executor import execute as engine_execute
-from ..engine.table import Table, tuple_getter
+from ..engine.table import Table
 from ..errors import IncrementalError
 from ..rewriter.operators import (
     CoalesceOperator,
@@ -73,6 +75,16 @@ COUNTER_KEYS = (
     "incremental.full_refresh",
     "incremental.consolidated_rows",
 )
+
+
+def _group_slice(state: ZSet, key: Callable[[Row], Any], groups: set) -> ZSet:
+    """The entries of ``state`` whose group key is in ``groups``.
+
+    One pass over the whole state, kept at C speed (key extraction,
+    membership test and filtering all run inside ``map``/``compress``):
+    a small delta still pays for the scan, but not per row in Python.
+    """
+    return dict(compress(state.items(), map(groups.__contains__, map(key, state))))
 
 
 class _NodeState:
@@ -280,10 +292,9 @@ class MaterializedView:
         """Run one node through the engine by substituting child tables.
 
         The engine evaluates plans node-at-a-time anyway, so replacing the
-        children with constant relations reuses every executor kernel --
-        the sort-merge interval join, the batch sweep kernels when the
-        pipeline runs ``executor="batch"`` -- without a parallel
-        implementation of operator semantics.
+        children with constant relations reuses every engine kernel --
+        the sort-merge interval join, the columnar sweep kernels -- without
+        a parallel implementation of operator semantics.
         """
         substituted = node.operator.with_children(
             *(
@@ -295,7 +306,6 @@ class MaterializedView:
             substituted,
             self._pipeline.database,
             None,
-            executor=self._pipeline.executor,
             parallel_workers=self._pipeline.parallel_workers,
         )
 
@@ -552,43 +562,28 @@ class MaterializedView:
             self.counters["incremental.resweep_groups"] += 1
             return zset_diff(fresh, node.state)
 
+        # Group keys via itemgetter: the bare value for one key attribute, a
+        # tuple for several -- the same shape on every side.
         getters = node.compiled.get("resweep_getters")
         if getters is None:
             child_getters = tuple(
-                tuple_getter([child.schema.index(a) for a in key_attributes])
+                itemgetter(*[child.schema.index(a) for a in key_attributes])
                 for child in children
             )
-            out_getter = tuple_getter(
-                [node.schema.index(a) for a in key_attributes]
-            )
+            out_getter = itemgetter(*[node.schema.index(a) for a in key_attributes])
             getters = node.compiled["resweep_getters"] = (child_getters, out_getter)
         child_getters, out_getter = getters
 
         dirty = set()
         for position in keyed_children:
-            getter = child_getters[position]
-            for row in child_deltas[position]:
-                dirty.add(getter(row))
+            dirty.update(map(child_getters[position], child_deltas[position]))
         if not dirty:
             return {}
         self.counters["incremental.resweep_groups"] += len(dirty)
 
-        restricted_inputs = []
-        for position, child in enumerate(children):
-            getter = child_getters[position]
-            restricted_inputs.append(
-                expand_rows(
-                    {
-                        row: weight
-                        for row, weight in child.state.items()
-                        if getter(row) in dirty
-                    }
-                )
-            )
+        restricted_inputs = [
+            expand_rows(_group_slice(child.state, child_getters[position], dirty))
+            for position, child in enumerate(children)
+        ]
         fresh = zset_of(self._evaluate(node, restricted_inputs).rows)
-        stale_slice = {
-            row: weight
-            for row, weight in node.state.items()
-            if out_getter(row) in dirty
-        }
-        return zset_diff(fresh, stale_slice)
+        return zset_diff(fresh, _group_slice(node.state, out_getter, dirty))

@@ -10,8 +10,8 @@ Three planner phases consume the catalog's ANALYZE output:
 * :func:`annotate_join_strategies` -- runs on the rewritten plan after the
   syntactic fixpoint and stamps each :class:`~repro.algebra.operators.Join`
   with the strategy (``interval`` / ``hash`` / ``nested_loop``) the cost
-  model prefers; the executors obey the hint.
-* :func:`parallel_engage_threshold` -- replaces the batch executor's
+  model prefers; the engine obeys the hint.
+* :func:`parallel_engage_threshold` -- replaces the engine's
   hard-coded 4096-row parallel-engage constant with a stats-driven bound:
   dense overlap joins emit many rows per input row, so the pool pays off on
   smaller inputs.
@@ -54,10 +54,10 @@ from ..algebra.operators import (
     Selection,
     Union,
 )
-from ..engine.executor import (
-    _combine_residual,
-    _extract_interval_pattern,
-    _split_join_predicate,
+from ..engine.predicates import (
+    combine_residual,
+    extract_interval_pattern,
+    split_join_predicate,
 )
 from .rules import split_conjuncts
 from .schema import infer_schema
@@ -72,7 +72,7 @@ __all__ = [
     "parallel_engage_threshold",
 ]
 
-#: The batch executor's historical parallel-engage constant (combined join
+#: The engine's historical parallel-engage constant (combined join
 #: input rows); used verbatim whenever no statistics exist.
 DEFAULT_PARALLEL_THRESHOLD = 4096
 
@@ -448,8 +448,8 @@ def _analyse_join(
         return None
     left_view = _SchemaView(left_schema)
     right_view = _SchemaView(right_schema)
-    keys, residual = _split_join_predicate(plan.predicate, left_view, right_view)
-    pattern, leftover = _extract_interval_pattern(residual, left_view, right_view)
+    keys, residual = split_join_predicate(plan.predicate, left_view, right_view)
+    pattern, leftover = extract_interval_pattern(residual, left_view, right_view)
     return keys, pattern, leftover, left_schema, right_schema
 
 
@@ -626,7 +626,7 @@ def _reorder_join_tree(plan: Join, database: Optional[Any]) -> Optional[Operator
     ) -> Tuple[Tuple[Operator, frozenset], List[Expression]]:
         scope = left[1] | right[1]
         applicable = [c for c in remaining if frozenset(c.attributes()) <= scope]
-        joined = Join(left[0], right[0], _combine_residual(applicable))
+        joined = Join(left[0], right[0], combine_residual(applicable))
         return (joined, scope), applicable
 
     # Greedy: start from the cheapest pair, then repeatedly fold in the
@@ -670,7 +670,7 @@ def _reorder_join_tree(plan: Join, database: Optional[Any]) -> Optional[Operator
         return None
     tree = current[0]
     if remaining:
-        tree = Selection(tree, _combine_residual(remaining))
+        tree = Selection(tree, combine_residual(remaining))
     # Joining in a different order permutes the concatenated schema; the
     # projection restores the original attribute order.
     return Projection.of_attributes(tree, *all_attributes)

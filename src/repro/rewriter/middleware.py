@@ -92,13 +92,9 @@ class SnapshotMiddleware:
         performs REWR.  The conformance harness uses this to inject
         deliberately broken rewrite rules (mutation testing of its own
         detection power); production code never needs it.
-    executor:
-        Physical executor for the in-memory engine: ``"row"`` (default,
-        tuple-at-a-time streaming) or ``"batch"`` (columnar batches with
-        the partitioned parallel interval join).  Ignored by SQL backends.
     parallel_workers:
-        Worker-process count for the batch executor's partitioned interval
-        join; ``None`` keeps it serial unless the engine decides otherwise.
+        Worker-process count for the in-memory engine's partitioned
+        interval join; ``None`` keeps it serial.  Ignored by SQL backends.
     """
 
     def __init__(
@@ -111,7 +107,6 @@ class SnapshotMiddleware:
         backend: "str | ExecutionBackend | None" = None,
         rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
         policy: Optional[ExecutionPolicy] = None,
-        executor: str = "row",
         parallel_workers: Optional[int] = None,
     ) -> None:
         self._pipeline = QueryPipeline(
@@ -123,7 +118,6 @@ class SnapshotMiddleware:
             backend=backend,
             rewriter_cls=rewriter_cls,
             policy=policy,
-            executor=executor,
             parallel_workers=parallel_workers,
         )
 
@@ -168,11 +162,6 @@ class SnapshotMiddleware:
     @backend.setter
     def backend(self, value: "str | ExecutionBackend | None") -> None:
         self._pipeline.backend = value
-
-    @property
-    def executor(self) -> str:
-        """Physical executor of the in-memory engine (``"row"`` or ``"batch"``)."""
-        return self._pipeline.executor
 
     @property
     def _rewriter(self) -> SnapshotRewriter:

@@ -21,27 +21,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..algebra.expressions import Attribute
 from ..algebra.operators import AggregateSpec, Operator, Projection
+from ..engine.batch import ColumnarBatch
 from ..engine.executor import ExecutionContext, ExecutorError, PhysicalOperator
-from ..engine.table import Table, tuple_getter
 from ..engine.window import collect_group_endpoints, split_segments
 from ..temporal.coalesce import coalesce_column_sets
 from .periodenc import T_BEGIN, T_END
 
-if TYPE_CHECKING:  # engine.batch imports this module's host package lazily
-    from ..engine.batch import ColumnarBatch
-
 __all__ = ["CoalesceOperator", "SplitOperator", "TemporalAggregateOperator"]
 
 
-def _data_attributes(table: Table, period: Tuple[str, str]) -> Tuple[str, ...]:
-    return tuple(a for a in table.schema if a not in period)
-
-
-def _batch_group_keys(batch: "ColumnarBatch", attributes: Tuple[str, ...]) -> Sequence[Any]:
+def _batch_group_keys(batch: ColumnarBatch, attributes: Tuple[str, ...]) -> Sequence[Any]:
     """Per-row group keys of a batch: zero-copy for one attribute, zipped tuples else."""
     if len(attributes) == 1:
         return batch.columns[batch.column_index(attributes[0])]
@@ -118,76 +111,22 @@ class CoalesceOperator(PhysicalOperator):
             return None
         return CoalesceOperator(Projection(self.child, tuple(columns)), self.period)
 
-    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
-        (table,) = children
-        begin_attr, end_attr = self.period
-        data = _data_attributes(table, self.period)
-        begin_index = table.column_index(begin_attr)
-        end_index = table.column_index(end_attr)
-        data_key = tuple_getter([table.column_index(a) for a in data])
-
-        # Step 1: +1/-1 events per (value group, time point), pre-summed per
-        # point.  One counter per value group so time points are only ever
-        # compared within a group (data values may contain NULL padding).
-        limited = context._limited
-        deltas: Dict[Tuple[Any, ...], Counter] = {}
-        for row in table.rows:
-            if limited:
-                context.checkpoint()
-            begin, end = row[begin_index], row[end_index]
-            # SQL semantics of the window formulation's ``WHERE begin < end``
-            # prefilter: a NULL end point makes the comparison unknown, so
-            # the row is dropped -- like a degenerate interval it holds at no
-            # time point.
-            if begin is None or end is None or begin >= end:
-                continue
-            bucket = deltas.get(values := data_key(row))
-            if bucket is None:
-                bucket = deltas[values] = Counter()
-            bucket[begin] += 1
-            bucket[end] -= 1
-
-        # Step 2: one sweep per value group over its sorted time points,
-        # maintaining the running count of open intervals (the SQL
-        # formulation's ``sum(delta) OVER (PARTITION BY data ORDER BY ts)``,
-        # its changepoint filter and its ``lead(ts)`` fused into one pass).
-        # A point whose net delta is zero leaves the count unchanged and is
-        # skipped; each changepoint with a positive count emits the maximal
-        # interval up to the next changepoint, ``count`` times.
-        result = Table("coalesce", data + self.period)
-        out = result.rows
-        for values, bucket in deltas.items():
-            if limited:
-                context.checkpoint(len(out))
-            open_since: Any = None
-            open_count = 0
-            for ts in sorted(bucket):
-                delta = bucket[ts]
-                if delta == 0:
-                    continue
-                if open_count > 0:
-                    out.extend([values + (open_since, ts)] * open_count)
-                open_since = ts
-                open_count += delta
-            # The deltas of a group sum to zero, so the sweep always closes.
-        context.count("coalesce_input_rows", len(table))
-        context.count("coalesce_output_rows", len(result))
-        return result
-
     def execute_batch(
-        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
-    ) -> "ColumnarBatch":
+        self, children: Sequence[ColumnarBatch], context: ExecutionContext
+    ) -> ColumnarBatch:
         """Columnar coalescing via :func:`repro.temporal.coalesce.coalesce_column_sets`.
 
-        Same sweep as :meth:`execute`, but the input multiplicity column
-        feeds the +1/-1 events directly and each maximal interval comes back
-        as *one* batch entry carrying its open-interval count -- no
-        duplicate tuples are materialised until the batch leaves the engine.
+        For every group of value-equivalent rows the kernel sums +1/-1
+        events per interval end point (weighted by the input multiplicity
+        column), sweeps the sorted points keeping the running count of open
+        intervals, and emits each maximal interval as *one* batch entry
+        carrying that count -- no duplicate tuples are materialised until
+        the batch leaves the engine.  Rows with a NULL or degenerate
+        interval hold at no time point and are dropped (SQL's
+        ``WHERE begin < end`` prefilter).
         The kernel takes and returns the grouping attributes as columns, so
         the vectorized path never builds key tuples at all.
         """
-        from ..engine.batch import ColumnarBatch
-
         (batch,) = children
         begin_attr, end_attr = self.period
         data = tuple(a for a in batch.schema if a not in self.period)
@@ -272,48 +211,9 @@ class SplitOperator(PhysicalOperator):
             Projection(self.left, tuple(columns)), self.right, self.group_by, self.period
         )
 
-    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
-        left, right = children
-        begin_attr, end_attr = self.period
-        for attribute in self.group_by:
-            if not left.has_attribute(attribute):
-                raise ExecutorError(
-                    f"split group attribute {attribute!r} missing from {left.schema}"
-                )
-
-        endpoints = self._endpoints_by_group(left, right)
-        begin_index = left.column_index(begin_attr)
-        end_index = left.column_index(end_attr)
-        group_key = tuple_getter([left.column_index(a) for a in self.group_by])
-
-        limited = context._limited
-        result = Table("split", left.schema)
-        for row in left.rows:
-            if limited:
-                context.checkpoint(len(result.rows))
-            begin, end = row[begin_index], row[end_index]
-            # NULL end points drop the row (SQL's ``WHERE begin < end``), and
-            # NULL cut points never satisfy ``begin < p < end`` -- matching
-            # the compiled window SQL's three-valued comparisons.
-            if begin is None or end is None or begin >= end:
-                continue
-            cuts = [
-                p
-                for p in endpoints.get(group_key(row), ())
-                if p is not None and begin < p < end
-            ]
-            bounds = [begin, *sorted(set(cuts)), end]
-            for piece_begin, piece_end in zip(bounds, bounds[1:]):
-                piece = list(row)
-                piece[begin_index] = piece_begin
-                piece[end_index] = piece_end
-                result.append(tuple(piece))
-        context.count("split_output_rows", len(result))
-        return result
-
     def execute_batch(
-        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
-    ) -> "ColumnarBatch":
+        self, children: Sequence[ColumnarBatch], context: ExecutionContext
+    ) -> ColumnarBatch:
         """Columnar split via the sweep helpers in :mod:`repro.engine.window`.
 
         End points are collected per group from both children's columns,
@@ -321,8 +221,6 @@ class SplitOperator(PhysicalOperator):
         with one index gather per attribute and multiplicities follow their
         source row (every duplicate splits identically).
         """
-        from ..engine.batch import ColumnarBatch
-
         left, right = children
         begin_attr, end_attr = self.period
         for attribute in self.group_by:
@@ -365,21 +263,6 @@ class SplitOperator(PhysicalOperator):
         if context._limited:
             context.checkpoint(result.weight())
         return result
-
-    def _endpoints_by_group(
-        self, left: Table, right: Table
-    ) -> Dict[Tuple[Any, ...], set]:
-        endpoints: Dict[Tuple[Any, ...], set] = {}
-        for table in (left, right):
-            begin_index = table.column_index(self.period[0])
-            end_index = table.column_index(self.period[1])
-            group_key = tuple_getter([table.column_index(a) for a in self.group_by])
-            for row in table.rows:
-                bucket = endpoints.setdefault(group_key(row), set())
-                bucket.add(row[begin_index])
-                bucket.add(row[end_index])
-        return endpoints
-
 
 @dataclass(frozen=True)
 class TemporalAggregateOperator(PhysicalOperator):
@@ -432,73 +315,19 @@ class TemporalAggregateOperator(PhysicalOperator):
             return (0,)
         return ()
 
-    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
-        (table,) = children
-        begin_attr, end_attr = self.period
-        begin_index = table.column_index(begin_attr)
-        end_index = table.column_index(end_attr)
-        group_indexes = [table.column_index(a) for a in self.group_by]
-        schema = table.schema
-
-        # Pre-aggregation: bucket identical (group, argument values, period)
-        # rows and keep only their multiplicity.  This is what makes the
-        # subsequent sort-and-sweep operate on a much smaller input.
-        # Aggregate arguments are compiled once against the input schema and
-        # evaluated on the raw row tuples.
-        compiled_arguments = tuple(
-            None if spec.argument is None else spec.argument.compile(schema)
-            for spec in self.aggregates
-        )
-        group_key = tuple_getter(group_indexes)
-        limited = context._limited
-        buckets: Counter = Counter()
-        for row in table.rows:
-            if limited:
-                context.checkpoint()
-            begin, end = row[begin_index], row[end_index]
-            # SQL's ``WHERE begin < end`` prefilter: NULL end points drop the
-            # row, exactly like the compiled segmentation SQL.
-            if begin is None or end is None or begin >= end:
-                continue
-            args = tuple(
-                None if argument is None else argument(row)
-                for argument in compiled_arguments
-            )
-            buckets[group_key(row) + args + (begin, end)] += 1
-        context.count("preaggregated_rows", len(buckets))
-
-        # Sweep each group's end points.
-        n_group = len(self.group_by)
-        n_args = len(self.aggregates)
-        groups: Dict[Tuple[Any, ...], List[Tuple[int, int, Tuple[Any, ...], int]]] = {}
-        for key, multiplicity in buckets.items():
-            group_key = key[:n_group]
-            args = key[n_group : n_group + n_args]
-            begin, end = key[-2], key[-1]
-            groups.setdefault(group_key, []).append((begin, end, args, multiplicity))
-
-        result = Table(
-            "temporal_aggregation",
-            self.group_by + tuple(spec.alias for spec in self.aggregates) + self.period,
-        )
-        for group_key, facts in groups.items():
-            if limited:
-                context.checkpoint(len(result.rows))
-            self._sweep_group(group_key, facts, result.append)
-        return result
-
     def execute_batch(
-        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
-    ) -> "ColumnarBatch":
+        self, children: Sequence[ColumnarBatch], context: ExecutionContext
+    ) -> ColumnarBatch:
         """Columnar fused split + aggregation.
 
-        The pre-aggregation pass builds its bucket keys with one nested
-        ``zip`` over (group, argument, period) columns -- the key tuples are
-        constructed at C speed -- weighting each row by its multiplicity;
-        the per-group sweep is shared with the row path.
+        Pre-aggregation buckets identical (group, argument values, period)
+        rows and keeps only their multiplicity, which is what makes the
+        subsequent sort-and-sweep operate on a much smaller input.  The
+        bucket keys come from one nested ``zip`` over (group, argument,
+        period) columns -- the key tuples are constructed at C speed --
+        weighting each row by its multiplicity.  Rows with a NULL or
+        degenerate interval are dropped (SQL's ``WHERE begin < end``).
         """
-        from ..engine.batch import ColumnarBatch
-
         (batch,) = children
         begin_attr, end_attr = self.period
         n = len(batch.counts)
@@ -555,69 +384,91 @@ class TemporalAggregateOperator(PhysicalOperator):
         facts: List[Tuple[int, int, Tuple[Any, ...], int]],
         append: Callable[[Tuple[Any, ...]], None],
     ) -> None:
-        events: Dict[int, List[Tuple[int, Tuple[Any, ...], int]]] = {}
-        for begin, end, args, multiplicity in facts:
-            events.setdefault(begin, []).append((+1, args, multiplicity))
-            events.setdefault(end, []).append((-1, args, multiplicity))
-        timestamps = sorted(events)
+        """Sweep one group's end points, emitting a row per covered segment.
 
-        state = _AggregateState(self.aggregates)
-        previous: Optional[int] = None
-        for ts in timestamps:
-            if previous is not None and previous < ts and state.has_open_rows():
-                append(group_key + state.values() + (previous, ts))
-            for sign, args, multiplicity in events[ts]:
-                state.apply(sign, args, multiplicity)
+        Every fact opens at its begin and closes at its end; the events of
+        a time point are applied in fact order, so running float sums add
+        up in a fixed order.  A segment between consecutive points is
+        emitted while at least one fact is open.  ``count``/``sum``/``avg``
+        keep running counts and sums; ``min``/``max`` keep a multiset of
+        the open values.
+        """
+        events: Dict[Any, List[Tuple[int, Tuple[Any, ...]]]] = {}
+        get = events.get
+        for begin, end, args, multiplicity in facts:
+            bucket = get(begin)
+            if bucket is None:
+                events[begin] = [(multiplicity, args)]
+            else:
+                bucket.append((multiplicity, args))
+            bucket = get(end)
+            if bucket is None:
+                events[end] = [(-multiplicity, args)]
+            else:
+                bucket.append((-multiplicity, args))
+
+        # Per aggregate: (position, function, counts NULL-argument rows?).
+        # count(*) counts every open row, including gap-padding rows.
+        plan = [
+            (position, spec.func, spec.argument is None)
+            for position, spec in enumerate(self.aggregates)
+        ]
+        counts = [0] * len(plan)
+        sums: List[Any] = [0] * len(plan)
+        open_values: List[Counter] = [Counter() for _ in plan]
+        open_rows = 0
+        previous: Any = None
+        for ts in sorted(events):
+            if open_rows > 0:
+                append(
+                    group_key
+                    + _aggregate_values(plan, counts, sums, open_values)
+                    + (previous, ts)
+                )
+            for delta, args in events[ts]:
+                open_rows += delta
+                for position, func, star in plan:
+                    if star:
+                        counts[position] += delta
+                        continue
+                    value = args[position]
+                    if value is None:
+                        continue
+                    counts[position] += delta
+                    if func == "sum" or func == "avg":
+                        sums[position] += delta * value
+                    elif func != "count":
+                        values = open_values[position]
+                        remaining = values[value] + delta
+                        if remaining:
+                            values[value] = remaining
+                        else:
+                            del values[value]
             previous = ts
 
 
-class _AggregateState:
-    """Incremental aggregate state for one group during the sweep."""
-
-    def __init__(self, aggregates: Tuple[AggregateSpec, ...]) -> None:
-        self.aggregates = aggregates
-        self.open_rows = 0
-        self.counts = [0] * len(aggregates)
-        self.sums = [0] * len(aggregates)
-        self.value_multisets: List[Counter] = [Counter() for _ in aggregates]
-
-    def has_open_rows(self) -> bool:
-        return self.open_rows > 0
-
-    def apply(self, sign: int, args: Tuple[Any, ...], multiplicity: int) -> None:
-        self.open_rows += sign * multiplicity
-        for position, spec in enumerate(self.aggregates):
-            value = args[position]
-            if spec.argument is None:
-                # count(*): every open row counts, including padding rows.
-                self.counts[position] += sign * multiplicity
-                continue
-            if value is None:
-                continue
-            self.counts[position] += sign * multiplicity
-            if spec.func in ("sum", "avg"):
-                self.sums[position] += sign * multiplicity * value
-            if spec.func in ("min", "max"):
-                self.value_multisets[position][value] += sign * multiplicity
-                if self.value_multisets[position][value] == 0:
-                    del self.value_multisets[position][value]
-
-    def values(self) -> Tuple[Any, ...]:
-        output: List[Any] = []
-        for position, spec in enumerate(self.aggregates):
-            count = self.counts[position]
-            if spec.func == "count":
-                output.append(count)
-            elif spec.func == "sum":
-                output.append(self.sums[position] if count else None)
-            elif spec.func == "avg":
-                output.append(self.sums[position] / count if count else None)
-            elif spec.func == "min":
-                values = self.value_multisets[position]
-                output.append(min(values) if values else None)
-            elif spec.func == "max":
-                values = self.value_multisets[position]
-                output.append(max(values) if values else None)
-            else:  # pragma: no cover - AggregateSpec validates functions
-                raise ExecutorError(f"unknown aggregate {spec.func!r}")
-        return tuple(output)
+def _aggregate_values(
+    plan: List[Tuple[int, str, bool]],
+    counts: List[int],
+    sums: List[Any],
+    open_values: List[Counter],
+) -> Tuple[Any, ...]:
+    """The aggregate values of the current sweep segment."""
+    output: List[Any] = []
+    for position, func, _star in plan:
+        count = counts[position]
+        if func == "count":
+            output.append(count)
+        elif func == "sum":
+            output.append(sums[position] if count else None)
+        elif func == "avg":
+            output.append(sums[position] / count if count else None)
+        elif func == "min":
+            values = open_values[position]
+            output.append(min(values) if values else None)
+        elif func == "max":
+            values = open_values[position]
+            output.append(max(values) if values else None)
+        else:  # pragma: no cover - AggregateSpec validates functions
+            raise ExecutorError(f"unknown aggregate {func!r}")
+    return tuple(output)

@@ -97,13 +97,8 @@ class QueryPipeline:
         rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
         plan_cache: bool = False,
         policy: Optional[ExecutionPolicy] = None,
-        executor: str = "row",
         parallel_workers: Optional[int] = None,
     ) -> None:
-        if executor not in ("row", "batch"):
-            raise ValueError(
-                f"unknown executor {executor!r}; expected 'row' or 'batch'"
-            )
         self.domain = domain
         self.database = database if database is not None else Database()
         self.period_semiring = PeriodSemiring(NATURAL, domain)
@@ -114,11 +109,8 @@ class QueryPipeline:
         self.optimize = optimize
         self.backend = backend
         self.policy = policy
-        #: Physical engine for memory-backend plans: ``"row"`` streams
-        #: tuples, ``"batch"`` runs the columnar executor
-        #: (:mod:`repro.engine.batch`); ``parallel_workers`` sizes the batch
-        #: engine's partitioned interval-join pool.
-        self.executor = executor
+        #: Worker-process count of the in-memory engine's partitioned
+        #: interval-join pool (``None`` keeps it serial).
         self.parallel_workers = parallel_workers
         # Kept alongside the rewriter instance so callers that re-create the
         # configuration elsewhere (the conformance harness builds fresh
@@ -378,7 +370,6 @@ class QueryPipeline:
         backend: "str | ExecutionBackend | None" = None,
         final_coalesce: bool = False,
         limits: Optional[QueryLimits] = None,
-        executor: Optional[str] = None,
     ) -> Table:
         """One policy-free execution under externally owned :class:`QueryLimits`.
 
@@ -387,12 +378,10 @@ class QueryPipeline:
         it from the event loop while the worker thread executes
         (:meth:`repro.execution.Deadline.cancel`); retries and failover stay
         with the *client's* policy, which observes transport failures.
-        ``executor`` overrides the pipeline's physical executor for this one
-        request (the server forwards the query frame's ``executor`` field).
         """
         plan = self.rewrite(query, statistics, final_coalesce)
         chosen = backend if backend is not None else self.backend
-        return self._run_plan(plan, statistics, chosen, limits, executor)
+        return self._run_plan(plan, statistics, chosen, limits)
 
     def _run_plan(
         self,
@@ -400,13 +389,11 @@ class QueryPipeline:
         statistics: Optional[Dict[str, int]],
         chosen: "str | ExecutionBackend | None",
         limits: Optional[QueryLimits],
-        executor: Optional[str] = None,
         observations: Optional[Dict[int, Dict[str, Any]]] = None,
     ) -> Table:
         if chosen is None or chosen == "memory":
-            effective_executor = executor if executor is not None else self.executor
             threshold = None
-            if effective_executor == "batch" and (self.parallel_workers or 1) >= 2:
+            if (self.parallel_workers or 1) >= 2:
                 # Stats-driven parallel-engage decision: with ANALYZE data
                 # on the referenced tables this deviates from the 4096-row
                 # constant (dense overlap -> engage earlier); without
@@ -417,7 +404,6 @@ class QueryPipeline:
                 self.database,
                 statistics,
                 limits=limits,
-                executor=effective_executor,
                 parallel_workers=self.parallel_workers,
                 parallel_threshold=threshold,
                 observations=observations,

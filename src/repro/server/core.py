@@ -121,7 +121,6 @@ class QueryServer:
         coalesce: str = "final",
         use_temporal_aggregate: bool = True,
         plan_cache: bool = True,
-        executor: str = "row",
         parallel_workers: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -143,7 +142,6 @@ class QueryServer:
                 use_temporal_aggregate=use_temporal_aggregate,
                 database=database,
                 plan_cache=plan_cache,
-                executor=executor,
                 parallel_workers=parallel_workers,
             )
         self._session = session
@@ -350,7 +348,6 @@ class QueryServer:
             "backend": backend_name,
             "planner": pipeline.optimize,
             "coalesce": pipeline.coalesce,
-            "executor": pipeline.executor,
             "views": list(pipeline.view_names()),
             "max_frame_bytes": self.max_frame_bytes,
         }
@@ -377,11 +374,6 @@ class QueryServer:
             backend = frame.get("backend")
             if backend is not None and not isinstance(backend, str):
                 raise ProtocolError("query backend override must be a backend name")
-            executor = frame.get("executor")
-            if executor is not None and executor not in ("row", "batch"):
-                raise ProtocolError(
-                    f"query executor override must be 'row' or 'batch', got {executor!r}"
-                )
             timeout = frame.get("timeout_seconds")
             seconds = (
                 min(float(timeout), self.max_query_seconds)
@@ -407,7 +399,6 @@ class QueryServer:
                         backend,
                         final_coalesce,
                         limits,
-                        executor,
                     ),
                 )
             finally:

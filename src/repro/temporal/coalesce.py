@@ -90,7 +90,7 @@ def coalesce_columns(
     ends: Sequence[Any],
     counts: Sequence[int],
 ) -> Tuple[List[Hashable], List[Any], List[Any], List[int]]:
-    """Columnar multiset coalescing: the batch executor's sweep kernel.
+    """Columnar multiset coalescing: the batch engine's sweep kernel.
 
     Inputs are parallel columns -- one group key, interval begin, interval
     end and multiplicity per row.  Rows with a NULL or degenerate interval

@@ -44,6 +44,14 @@ class TestMemoryDsn:
         with pytest.raises(FluentError, match="unsupported"):
             connect("memory://?domain=0:8&compression=lz4")
 
+    def test_executor_param_is_gone(self):
+        # One in-memory engine: the former row/batch switch is now an
+        # unknown parameter like any other, on the DSN and as a keyword.
+        with pytest.raises(FluentError, match=r"unsupported memory:// DSN parameter.*executor"):
+            connect("memory://?domain=0:8&executor=batch")
+        with pytest.raises(TypeError):
+            connect("memory://?domain=0:8", executor="batch")
+
     def test_malformed_domain_raises(self):
         with pytest.raises(FluentError, match="lo:hi"):
             connect("memory://?domain=eight")

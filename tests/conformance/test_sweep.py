@@ -48,14 +48,11 @@ pytestmark = pytest.mark.conformance
 def test_randomized_plans_conform_on_generated_catalogs(config, query):
     """200 randomized plan/dataset cases, all backends, planner on and off.
 
-    The matrix includes the columnar batch executor (the registered
-    ``"batch"`` backend) alongside the row engine and SQLite, so every case
-    certifies all three execution paths at every input changepoint.
+    The matrix covers the in-memory columnar engine and SQLite, so every
+    case certifies both execution paths at every input changepoint.
     """
     database = generate_catalog(config)
-    assert_conformant(
-        query, database, config.domain, backends=("memory", "sqlite", "batch")
-    )
+    assert_conformant(query, database, config.domain, backends=("memory", "sqlite"))
 
 
 @settings(max_examples=60)
@@ -65,7 +62,7 @@ def test_cost_planner_conforms_on_all_executors(config, query):
 
     Statistics make the cost plans non-trivial (reordering and strategy
     hints actually fire); the oracle check then certifies them at every
-    input changepoint on all three execution paths, side by side with the
+    input changepoint on both execution paths, side by side with the
     syntactic planner.
     """
     database = generate_catalog(config)
@@ -74,7 +71,7 @@ def test_cost_planner_conforms_on_all_executors(config, query):
         query,
         database,
         config.domain,
-        backends=("memory", "sqlite", "batch"),
+        backends=("memory", "sqlite"),
         optimize_modes=("cost", True),
     )
 
@@ -154,6 +151,6 @@ def test_every_interval_profile_conforms_at_scale(profile, seed):
             query,
             database,
             config.domain,
-            backends=("memory", "sqlite", "batch"),
+            backends=("memory", "sqlite"),
             max_points=24,
         )

@@ -1,14 +1,16 @@
-"""The row engine is the batch executor's differential oracle.
+"""Differential suite of the columnar batch engine against independent oracles.
 
-The columnar batch executor (:mod:`repro.engine.batch`) must be
-bag-equivalent with the row-streaming engine on *every* plan the pipeline
-can produce: the hypothesis suite here drives randomized generator catalogs
-(adversarial shapes included -- NULL data, NULL end points, duplicates,
-degenerate intervals) through the deep conformance plan grammar, rewrites
-each query once, and executes the same physical plan on both executors with
-the planner on and off.  A separate case forces the partitioned interval
-join onto a two-process pool and pins the partition counters the
-``explain()`` surface reports.
+The columnar batch engine (:mod:`repro.engine.batch`) is the only
+in-memory engine, so it is checked against two oracles that share none of
+its code: the abstract per-snapshot model (the paper's definition of
+snapshot semantics, via :func:`repro.conformance.assert_conformant`) and
+SQLite executing the same rewritten plan.  The hypothesis suite here drives
+randomized generator catalogs (adversarial shapes included -- NULL data,
+NULL end points, duplicates, degenerate intervals) through the deep
+conformance plan grammar with the planner on and off.  The join cases pin
+the partitioned, pooled and vectorized interval-join routes -- and the
+partition counters the ``explain()`` surface reports -- against SQLite and
+the engine's hash/nested-loop fallback for the same predicate.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 
 from repro.algebra.expressions import Comparison, and_, attr
 from repro.algebra.operators import Join, RelationAccess, Rename
+from repro.conformance import assert_conformant
 from repro.datasets import GeneratorConfig, generate_catalog, generate_table
 from repro.engine.catalog import Database
 from repro.engine.executor import execute
@@ -30,28 +33,50 @@ from tests.strategies import conformance_queries, generator_configs
 
 
 def _bag(table) -> Counter:
-    return Counter(table.rows)
+    """Multiset of rows with floats rounded (the hosts sum in different orders)."""
+    return Counter(
+        tuple(round(v, 6) if isinstance(v, float) else v for v in row)
+        for row in table.rows
+    )
+
+
+def _assert_matches_oracles(plan, database, result) -> None:
+    """The engine's result equals SQLite's and the non-interval fallback's.
+
+    ``interval_join=False`` answers the same predicate with the hash join
+    (equality keys) or the nested loop (none), sharing no sweep code.
+    """
+    sqlite_result = execute(plan, database, backend="sqlite")
+    fallback = execute(plan, database, interval_join=False)
+    assert result.schema == sqlite_result.schema == fallback.schema
+    assert _bag(result) == _bag(sqlite_result) == _bag(fallback)
 
 
 @settings(max_examples=60, deadline=None)
 @given(config=generator_configs(), query=conformance_queries())
-def test_batch_executor_matches_row_on_generated_catalogs(config, query):
-    """Batch == row on randomized plans x catalogs, planner on and off."""
+def test_batch_engine_matches_sqlite_on_generated_catalogs(
+    config, query
+):
+    """Batch == SQLite on randomized plans x catalogs, planner on and off.
+
+    Each rewritten plan runs on the engine and on SQLite with identical
+    physical output expected; the abstract per-snapshot model then certifies
+    the engine's decoded result at every input changepoint.
+    """
     database = generate_catalog(config)
     for optimize in (True, False):
         middleware = SnapshotMiddleware(
             config.domain, database=database, optimize=optimize
         )
         plan = middleware.rewrite(query)
-        row_result = execute(plan, database, executor="row")
-        batch_statistics: Dict[str, int] = {}
-        batch_result = execute(plan, database, batch_statistics, executor="batch")
-        assert batch_result.schema == row_result.schema
-        assert _bag(batch_result) == _bag(row_result)
-        assert batch_statistics["executor.batch"] == 1
+        batch_result = execute(plan, database)
+        sqlite_result = execute(plan, database, backend="sqlite")
+        assert batch_result.schema == sqlite_result.schema
+        assert _bag(batch_result) == _bag(sqlite_result)
+    assert_conformant(query, database, config.domain, backends=("memory",))
 
 
-def test_parallel_partitioned_join_matches_row_and_counts_workers():
+def test_pooled_partitioned_join_matches_sqlite_and_counts_workers():
     """The pooled partitioned interval join is exact and visibly parallel."""
     config = GeneratorConfig(
         rows=2400,
@@ -78,13 +103,10 @@ def test_parallel_partitioned_join_matches_row_and_counts_workers():
     )
     plan = Join(left, right, predicate)
 
-    row_result = execute(plan, database, executor="row")
     statistics: Dict[str, int] = {}
-    batch_result = execute(
-        plan, database, statistics, executor="batch", parallel_workers=2
-    )
+    batch_result = execute(plan, database, statistics, parallel_workers=2)
 
-    assert _bag(batch_result) == _bag(row_result)
+    _assert_matches_oracles(plan, database, batch_result)
     assert len(batch_result) > 0
     # The acceptance gate: the pool really ran, across >= 2 worker
     # processes, over the equality-key partitions.
@@ -115,11 +137,10 @@ def test_serial_batch_join_still_counts_partitions():
     )
     plan = Join(left, right, predicate)
 
-    row_result = execute(plan, database, executor="row")
     statistics: Dict[str, int] = {}
-    batch_result = execute(plan, database, statistics, executor="batch")
+    batch_result = execute(plan, database, statistics)
 
-    assert _bag(batch_result) == _bag(row_result)
+    _assert_matches_oracles(plan, database, batch_result)
     assert statistics["batch.partitions"] >= 2
     assert "join_strategy.interval_parallel" not in statistics
 
@@ -134,7 +155,7 @@ def _overlap_plan():
     return Join(left, right, predicate)
 
 
-def test_vectorized_overlap_join_matches_row_and_counts():
+def test_vectorized_overlap_join_matches_sqlite_and_counts():
     """The no-equality-key serial join takes the whole-column numpy route."""
     pytest.importorskip("numpy")
     config = GeneratorConfig(
@@ -147,11 +168,10 @@ def test_vectorized_overlap_join_matches_row_and_counts():
         )
     plan = _overlap_plan()
 
-    row_result = execute(plan, database, executor="row")
     statistics: Dict[str, int] = {}
-    batch_result = execute(plan, database, statistics, executor="batch")
+    batch_result = execute(plan, database, statistics)
 
-    assert _bag(batch_result) == _bag(row_result)
+    _assert_matches_oracles(plan, database, batch_result)
     assert len(batch_result) > 0
     assert statistics["join_strategy.interval_vectorized"] == 1
     assert statistics["batch.partitions"] == 1
@@ -163,7 +183,7 @@ def test_vectorized_overlap_join_exact_on_degenerate_and_null_intervals():
     The vectorized kernel's range bounds imply the second overlap
     comparison only for well-formed intervals; this pins the masked slow
     path (degenerates present) and the non-int fallback (NULLs present)
-    against the row engine.
+    against SQLite and the nested-loop fallback.
     """
     degenerate = Database()
     degenerate.create_table(
@@ -179,10 +199,10 @@ def test_vectorized_overlap_join_exact_on_degenerate_and_null_intervals():
         period=("t_begin", "t_end"),
     )
     plan = _overlap_plan()
-    row_result = execute(plan, degenerate, executor="row")
     statistics: Dict[str, int] = {}
-    batch_result = execute(plan, degenerate, statistics, executor="batch")
-    assert _bag(batch_result) == _bag(row_result)
+    batch_result = execute(plan, degenerate, statistics)
+    _assert_matches_oracles(plan, degenerate, batch_result)
+    assert statistics["join_strategy.interval_vectorized"] == 1
 
     nulls = Database()
     nulls.create_table(
@@ -197,10 +217,9 @@ def test_vectorized_overlap_join_exact_on_degenerate_and_null_intervals():
         [("x", 0, 4), ("y", None, 6), ("z", 3, 8)],
         period=("t_begin", "t_end"),
     )
-    row_result = execute(plan, nulls, executor="row")
     statistics = {}
-    batch_result = execute(plan, nulls, statistics, executor="batch")
-    assert _bag(batch_result) == _bag(row_result)
+    batch_result = execute(plan, nulls, statistics)
+    _assert_matches_oracles(plan, nulls, batch_result)
     # NULL endpoints are not int columns: the vectorized route must decline
     # and the bisect sweep (which drops NULL rows) must answer instead.
     assert "join_strategy.interval_vectorized" not in statistics

@@ -1,12 +1,12 @@
 """The stats-driven parallel-engage threshold, end to end (satellite of PR 10).
 
-The batch executor's worker pool historically engaged at a hard-coded 4096
+The in-memory engine's worker pool historically engaged at a hard-coded 4096
 combined join-input rows.  The pipeline now asks
 :func:`repro.planner.cost.parallel_engage_threshold`: without ANALYZE
 statistics that returns exactly the historical constant (pinned here), with
 dense-overlap statistics it drops low enough that the same mid-sized join
-fans out across the pool (also pinned here, via the executor's own
-counters).  The decision is executor-level: it applies in every planner
+fans out across the pool (also pinned here, via the engine's own
+counters).  The decision is engine-level: it applies in every planner
 mode, not just ``"cost"``.
 """
 
@@ -24,7 +24,7 @@ KEYS = 400
 
 
 def _session():
-    session = connect((0, 128), executor="batch", parallel_workers=2)
+    session = connect((0, 128), parallel_workers=2)
     # Every interval spans the whole domain: overlap density 1.0, the
     # densest (and most parallel-worthy) shape there is.
     session.load(
@@ -48,7 +48,7 @@ def test_without_statistics_the_pool_stays_at_the_4096_default():
     session.execute(_join(), statistics)
     # 2000 + 400 combined input rows < 4096: the historical constant keeps
     # the join serial even though two workers were configured.
-    assert statistics.get("executor.batch") == 1
+    assert statistics.get("join_strategy.interval") == 1
     assert "join_strategy.interval_parallel" not in statistics
     assert "batch.parallel_partitions" not in statistics
 

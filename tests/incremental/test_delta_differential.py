@@ -6,18 +6,19 @@ conformance sweep, transposed to view maintenance): hypothesis generates
 synthetic generator, plans from the extended conformance grammar, streams
 mixing inserts and bag deletes against both base relations -- and after
 **every** applied delta asserts that the materialized view's contents
-bag-equal a full re-execution of its plan, on the row and columnar batch
-executors with the planner on and off.
+bag-equal a full re-execution of its plan, with the full re-execution on
+the in-memory engine and on SQLite, the planner on and off.
 
 Two grounding mechanisms compose:
 
 * per-configuration, ``view.verify()`` re-executes the rewritten plan from
   scratch through the same pipeline and bag-compares against the
   incrementally maintained Z-set (catches every delta-rule bug that
-  diverges from the engine);
+  diverges from the engine); on the SQLite sessions that re-execution
+  runs on SQLite, which shares no kernel with the delta rules;
 * across configurations, the four views' contents are bag-compared against
   each other (catches bugs shared between a delta rule and the matching
-  engine kernel of *one* executor/planner mode).
+  engine kernel of *one* planner mode).
 
 Failures shrink: hypothesis minimizes the catalog config, the plan, and the
 delta stream together, so a red run ends with a minimal witness stream in
@@ -42,12 +43,12 @@ from tests.strategies import conformance_queries, generator_configs
 
 pytestmark = pytest.mark.incremental
 
-#: The execution matrix every case runs under: executor x planner.
+#: The execution matrix every case runs under: re-execution backend x planner.
 CONFIGURATIONS = (
-    ("row", True),
-    ("row", False),
-    ("batch", True),
-    ("batch", False),
+    ("memory", True),
+    ("memory", False),
+    ("sqlite", True),
+    ("sqlite", False),
 )
 
 
@@ -128,11 +129,11 @@ def test_view_bag_equals_full_reexecution_at_every_step(config, query, stream):
     """After every delta, view == full re-execution, in all four configurations."""
     sessions, views = [], []
     try:
-        for executor, planner in CONFIGURATIONS:
+        for backend, planner in CONFIGURATIONS:
             session = connect(
                 domain=config.domain,
                 database=generate_catalog(config),
-                executor=executor,
+                backend=backend,
                 planner=planner,
             )
             sessions.append(session)
@@ -157,18 +158,18 @@ def test_view_bag_equals_full_reexecution_at_every_step(config, query, stream):
                 for session in sessions:
                     session.delete(name, rows)
 
-            for (executor, planner), view in zip(CONFIGURATIONS, views):
+            for (backend, planner), view in zip(CONFIGURATIONS, views):
                 assert view.verify(), (
                     f"step {step_index} ({kind} {len(rows)} rows into {name}): "
                     f"view diverged from full re-execution on "
-                    f"executor={executor!r} planner={planner}\n{view.explain()}"
+                    f"backend={backend!r} planner={planner}\n{view.explain()}"
                 )
             baseline = Counter(views[0].rows())
-            for (executor, planner), view in zip(CONFIGURATIONS[1:], views[1:]):
+            for (backend, planner), view in zip(CONFIGURATIONS[1:], views[1:]):
                 assert Counter(view.rows()) == baseline, (
                     f"step {step_index}: view contents differ between "
                     f"configurations {CONFIGURATIONS[0]} and "
-                    f"({executor!r}, {planner})"
+                    f"({backend!r}, {planner})"
                 )
     finally:
         for session in sessions:

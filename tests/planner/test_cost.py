@@ -4,8 +4,7 @@ Everything the ``planner="cost"`` mode adds on top of the syntactic rules:
 mode normalization, the System-R-style cardinality estimator over ANALYZE
 statistics, the pre-REWR join reordering (bag-preserving, verified by
 execution), the post-fixpoint strategy annotation, the wire codec for the
-strategy hint, and the executors' hint obedience on both the row and batch
-engines.
+strategy hint, and the engine's hint obedience.
 """
 
 from __future__ import annotations
@@ -316,14 +315,12 @@ class TestStrategyHintPlumbing:
         rebuilt = join.with_children(RelationAccess("c"), RelationAccess("d"))
         assert rebuilt.strategy == "hash"
 
-    @pytest.mark.parametrize("executor", ["row", "batch"])
-    def test_executors_obey_hints_without_changing_results(self, executor):
+    def test_executors_obey_hints_without_changing_results(self):
         database = _catalog()
         predicate = Comparison("=", attr("fk"), attr("bk"))
         baseline = execute(
             Join(RelationAccess("fact"), RelationAccess("big"), predicate),
             database,
-            executor=executor,
         )
         for strategy in ("nested_loop", "hash"):
             statistics: dict = {}
@@ -336,7 +333,6 @@ class TestStrategyHintPlumbing:
                 ),
                 database,
                 statistics,
-                executor=executor,
             )
             assert Counter(hinted.rows) == Counter(baseline.rows)
             assert statistics.get(f"join_strategy.{strategy}") == 1

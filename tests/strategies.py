@@ -243,7 +243,7 @@ def running_example_queries():
     Used by the planner differential tests: rewritten (REWR) versions of
     these plans exercise every push-down rule -- selections above joins,
     renames with and without shadowing, bag difference over splits, grouped
-    and ungrouped aggregation -- plus the executor's interval join (every
+    and ungrouped aggregation -- plus the engine's interval join (every
     rewritten join carries the overlap predicate).
     """
     works = RelationAccess("works")

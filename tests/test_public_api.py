@@ -57,7 +57,6 @@ EXPECTED_REPRO_EXPORTS = {
     "Table",
     "ExecutionBackend",
     "InMemoryBackend",
-    "BatchBackend",
     "SQLiteBackend",
     "available_backends",
     "resolve_backend",
